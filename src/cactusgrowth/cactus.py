@@ -91,11 +91,6 @@ def perm_image(w: CactusWord) -> tuple[int, ...]:
     return img
 
 
-def compose_perms(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
-    """(outer o inner)(i) = outer[inner[i]]."""
-    return tuple(outer[inner[i] - 1] for i in range(len(inner)))
-
-
 def reduce_to_s1q(g: CactusGen, r: int) -> CactusWord:
     """Express s(p,q) as a word in prefix reversals s(1,*).
 

@@ -90,6 +90,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise UsageError, so main reports them on one line."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _emit_word(w: HighestWeightWord, fmt: str) -> None:
     if fmt == "ascii":
         print(growth.render_word_ascii(w))
@@ -262,14 +269,6 @@ def cmd_hecke(args) -> int:
     return EXIT_OK
 
 
-_VERIFY_BOUNDS = {
-    "cactus": ("r", 6),
-    "hecke": ("maxsize", 6),
-    "oracle": ("maxsize", 8),
-    "crystal": ("r", 5),
-}
-
-
 def cmd_verify(args) -> int:
     names = list(suites.ALL_SUITES) if args.suite == "all" else [args.suite]
     failures = 0
@@ -429,8 +428,7 @@ def _word_io_options(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cactusgrowth", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="cactusgrowth", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--format", choices=("json", "ascii"), default="json")
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized property sampling")
     ap.add_argument("--max-size", type=int, default=10**6, dest="max_size",
@@ -502,13 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit:  # --help; argument errors raise UsageError instead
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,6 +8,10 @@ reversal s(1,r) (evacuation), two-row diagrams compute promotion
 compute rectification, and cylindrical windows carry the general action:
 crossing the wall of s(p,q) reflects a diagonal band of the window and
 local-rule completion supplies the rest.
+
+Corners are plain int tuples and every cell is filled by weights.local_rule.
+Weight appears only in the public accessors that hand single weights to
+callers: triangle_rows, complete_rectangle and CylWindow.value / shape.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cactus import CactusGen, CactusWord, act_word, reduce_to_s1q
-from .weights import CartanContext, Weight, dom_w, is_dominant
+from .weights import CartanContext, Weight, dominant, local_rule
 from .words import (
     HighestWeightWord,
     InvalidStep,
@@ -25,6 +29,8 @@ from .words import (
     infer_step_kind,
     word_from_corners,
 )
+
+Corner = tuple[int, ...]
 
 
 class BadPath(ValueError):
@@ -40,28 +46,29 @@ def triangle_rows(w: HighestWeightWord) -> list[list[Weight]]:
     Row a holds gamma(a, b) for b = a..r; gamma(a, a) = 0 and each new row
     is filled left to right by the local rule.
     """
-    ctx = w.context
-    r = w.r
-    rows = [[w.corner(k) for k in range(r + 1)]]
-    for a in range(1, r + 1):
-        prev = rows[a - 1]
-        row = [ctx.zero()]
-        for b in range(a, r):
-            kappa = row[-1]
-            lam = prev[b - (a - 1)]
-            nu = prev[b + 1 - (a - 1)]
-            row.append(dom_w(kappa + nu - lam))
+    return [[Weight(w.context, c) for c in row] for row in _triangle(w)]
+
+
+def _triangle(w: HighestWeightWord) -> list[list[Corner]]:
+    fam = w.context.family
+    rows = [list(w.corners)]
+    for a in range(1, w.r + 1):
+        prev = rows[-1]
+        row = [w.corners[0]]
+        # gamma(a, a+j) from kappa = gamma(a, a+j-1), lam = gamma(a-1, a+j-1), nu = gamma(a-1, a+j)
+        for j in range(1, w.r - a + 1):
+            row.append(local_rule(fam, row[-1], prev[j], prev[j + 1]))
         rows.append(row)
     return rows
 
 
 def evacuation(w: HighestWeightWord) -> HighestWeightWord:
     """The prefix reversal s(1,r) read off the right edge of the triangle."""
-    rows = triangle_rows(w)
+    rows = _triangle(w)
     r = w.r
     # gamma(a, b) sits at rows[a][b - a]; the right edge is column b = r
-    corners = [rows[r - k][k].coords for k in range(r + 1)]
-    return HighestWeightWord(w.context, tuple(reversed(w.steps)), tuple(corners))
+    corners = tuple(rows[r - k][k] for k in range(r + 1))
+    return HighestWeightWord(w.context, tuple(reversed(w.steps)), corners)
 
 
 def prefix_reversal(w: HighestWeightWord, q: int) -> HighestWeightWord:
@@ -99,31 +106,29 @@ def promotion(w: HighestWeightWord) -> HighestWeightWord:
     Equals the action of s(1,r) s(2,r); the factor sequence rotates one
     step to the left.
     """
-    r = w.r
+    r, c = w.r, w.corners
     if r == 0:
         return w
-    ctx = w.context
-    bottom = [ctx.zero()]
+    fam = w.context.family
+    bottom = [c[0]]
     for j in range(1, r):
-        bottom.append(dom_w(bottom[-1] + w.corner(j + 1) - w.corner(j)))
-    bottom.append(w.weight())
+        bottom.append(local_rule(fam, bottom[-1], c[j], c[j + 1]))
+    bottom.append(c[r])
     steps = w.steps[1:] + (w.steps[0],)
-    return HighestWeightWord(ctx, steps, tuple(b.coords for b in bottom))
+    return HighestWeightWord(w.context, steps, tuple(bottom))
 
 
 def promotion_inverse(w: HighestWeightWord) -> HighestWeightWord:
     """Top edge of the two-row diagram whose bottom edge is w."""
-    r = w.r
+    r, c = w.r, w.corners
     if r == 0:
         return w
-    ctx = w.context
-    top = [None] * (r + 1)
-    top[r] = w.weight()
+    fam = w.context.family
+    top = list(c)
     for j in range(r - 1, 0, -1):
-        top[j] = dom_w(w.corner(j - 1) + top[j + 1] - w.corner(j))
-    top[0] = ctx.zero()
+        top[j] = local_rule(fam, c[j - 1], c[j], top[j + 1])
     steps = (w.steps[-1],) + w.steps[:-1]
-    return HighestWeightWord(ctx, steps, tuple(t.coords for t in top))
+    return HighestWeightWord(w.context, steps, tuple(top))
 
 
 # -- rectangular diagrams and rectification ----------------------------------
@@ -170,15 +175,6 @@ def complete_rectangle(
             row.append(complete_cell(row[-1], prev[j - 1], prev[j]))
         rows.append(row)
     return RectDiagram(tuple(tuple(r) for r in rows), top_steps, left_steps)
-
-
-def rectify_skew(top_corners: Sequence[Weight], left_word: HighestWeightWord) -> HighestWeightWord:
-    """Rectification through a rectangle: left column the (highest weight)
-    padding word, top row the skew corner path; returns the bottom row as a
-    highest weight word."""
-    left = [left_word.corner(k) for k in range(left_word.r + 1)]
-    diag = complete_rectangle(top_corners, left)
-    return word_from_corners(left_word.context, [w.coords for w in diag.bottom_row()])
 
 
 # -- cylindrical windows -------------------------------------------------------
@@ -235,7 +231,7 @@ def validate_window(win: CylWindow) -> bool:
     for i, row in enumerate(win.rows):
         if any(c != 0 for c in row[0]) or row[-1] != shape:
             return False
-        if not all(is_dominant(Weight(win.context, c)) for c in row):
+        if not all(dominant(win.context.family, c) for c in row):
             return False
     for i in range(win.depth - 1):
         for j in range(i + 1, i + r):
@@ -292,22 +288,13 @@ def cylinder_from_path(
         changed = False
         for i in range(top, sweep_bottom):
             for j in range(i + 1, i + r):
-                corners = {
-                    "kappa": known.get((i + 1, j)),
-                    "lam": known.get((i, j)),
-                    "nu": known.get((i, j + 1)),
-                    "mu": known.get((i + 1, j + 1)),
-                }
-                missing = [k for k, v in corners.items() if v is None]
-                if len(missing) != 1:
+                kappa, lam, nu, mu = (known.get(v) for v in ((i + 1, j), (i, j), (i, j + 1), (i + 1, j + 1)))
+                if kappa is None or nu is None or (lam is None) == (mu is None):
                     continue
-                get = lambda k: Weight(ctx, corners[k])
-                if missing == ["mu"]:
-                    known[(i + 1, j + 1)] = dom_w(get("kappa") + get("nu") - get("lam")).coords
-                elif missing == ["lam"]:
-                    known[(i, j)] = dom_w(get("kappa") + get("nu") - get("mu")).coords
+                if mu is None:
+                    known[(i + 1, j + 1)] = local_rule(ctx.family, kappa, lam, nu)
                 else:
-                    continue
+                    known[(i, j)] = local_rule(ctx.family, kappa, mu, nu)
                 changed = True
         return changed
 
@@ -342,31 +329,26 @@ def wall_cross(g: CactusGen, win: CylWindow) -> CylWindow:
     if q > r:
         raise ValueError(f"{g} out of bounds for r={r}")
     deep = win if win.depth >= q + 1 else build_cylinder(win.row_word(0), q + 1)
-    ctx = win.context
-    band = [deep.value(p + q - 1 - j, q) for j in range(p - 1, q + 1)]
-    tail = [deep.value(p - 1, j) for j in range(q + 1, p - 1 + r + 1)]
-    anchor_corners = band + tail
+    # gamma(i, j) sits at deep.rows[i][j - i]
+    band = [deep.rows[p + q - 1 - j][j - p + 1] for j in range(p - 1, q + 1)]
+    tail = [deep.rows[p - 1][j - p + 1] for j in range(q + 1, p - 1 + r + 1)]
+    anchor = tuple(band + tail)
 
-    rows_up: list[list[Weight]] = [anchor_corners]
-    shape = deep.shape()
-    for k in range(p - 2, -1, -1):
-        below = rows_up[0]
-        row: list[Weight] = [None] * (r + 1)
-        row[r] = shape
-        row[0] = ctx.zero()
+    fam = win.context.family
+    row = list(anchor)
+    for _ in range(p - 1):
+        # row k from row k+1 below it: the cell at (k, k+t) has kappa = below[t-1],
+        # mu = below[t] and nu = row[t+1], so its unknown lam is dom_W(kappa + nu - mu)
+        below = row
+        row = list(below)
         for t in range(r - 1, 0, -1):
-            # cell at (k, k+t): kappa = gamma'(k+1, k+t), mu = gamma'(k+1, k+t+1)
-            kappa = below[t - 1]
-            nu = row[t + 1]
-            mu = below[t]
-            row[t] = dom_w(kappa + nu - mu)
-        rows_up.insert(0, row)
+            row[t] = local_rule(fam, below[t - 1], below[t], row[t + 1])
 
     new_perm_steps = list(win.steps)
     new_perm_steps[p - 1: q] = reversed(new_perm_steps[p - 1: q])
-    top = HighestWeightWord(ctx, tuple(new_perm_steps), tuple(wt.coords for wt in rows_up[0]))
+    top = HighestWeightWord(win.context, tuple(new_perm_steps), tuple(row))
     out = build_cylinder(top, win.depth)
-    if out.rows[p - 1] != tuple(wt.coords for wt in anchor_corners):
+    if out.rows[p - 1] != anchor:
         raise InvalidStep("wall crossing failed to re-derive its anchor row")
     return out
 
@@ -379,18 +361,16 @@ def render_word_ascii(w: HighestWeightWord) -> str:
 
 
 def render_window_ascii(win: CylWindow) -> str:
-    cells = [[_shape_str(c) for c in row] for row in win.rows]
-    width = max(len(s) for row in cells for s in row) + 1
-    lines = []
-    for i, row in enumerate(cells):
-        pad = " " * (width * i)
-        lines.append(pad + "".join(s.ljust(width) for s in row))
-    return "\n".join(lines)
+    return _render_rows(win.rows)
 
 
 def render_triangle_ascii(w: HighestWeightWord) -> str:
-    rows = triangle_rows(w)
-    cells = [[_shape_str(wt.coords) for wt in row] for row in rows]
+    return _render_rows(_triangle(w))
+
+
+def _render_rows(rows: Sequence[Sequence[Corner]]) -> str:
+    """Row i shifted right by i cells, so that diagonals line up."""
+    cells = [[_shape_str(c) for c in row] for row in rows]
     width = max(len(s) for row in cells for s in row) + 1
     lines = []
     for i, row in enumerate(cells):

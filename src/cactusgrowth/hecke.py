@@ -89,14 +89,10 @@ class SeminormalRep:
         return f"SeminormalRep(shape={self.shape}, dim={self.dimension})"
 
 
-def _ratio(num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
-    return RationalFunction(num, den)
-
-
 def _swap_coeff(a: int) -> RationalFunction:
     if a > 0:
         return RationalFunction.one()
-    return _ratio(q_int(a - 1) * q_int(a + 1), q_int(a) * q_int(a))
+    return RationalFunction(q_int(a - 1) * q_int(a + 1), q_int(a) * q_int(a))
 
 
 def u_matrix(rep: SeminormalRep, i: int) -> QMatrix:
@@ -107,7 +103,7 @@ def u_matrix(rep: SeminormalRep, i: int) -> QMatrix:
     for k in range(rep.dimension):
         a = rep.axial(k, i)
         col = [zero] * rep.dimension
-        col[k] = -_ratio(q_int(a - 1), q_int(a))
+        col[k] = -RationalFunction(q_int(a - 1), q_int(a))
         j = rep.swap(k, i)
         if j is not None:
             col[j] = _swap_coeff(a)
@@ -129,7 +125,7 @@ def tau_matrix(rep: SeminormalRep, i: int) -> QMatrix:
     for k in range(rep.dimension):
         a = rep.axial(k, i)
         col = [zero] * rep.dimension
-        col[k] = _ratio(LaurentPoly.one(), q_int(a))
+        col[k] = RationalFunction(LaurentPoly.one(), q_int(a))
         j = rep.swap(k, i)
         if j is not None:
             col[j] = _swap_coeff(a)

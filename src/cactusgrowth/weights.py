@@ -2,9 +2,11 @@
 
 Three families are supported: GL(n) with integer-vector weights, SL2 with a
 single integer coordinate <wt, alpha_check>, and Sp(2n) with weights in the
-standard epsilon-coordinate lattice.  dom_w picks the dominant representative
+standard epsilon-coordinate lattice.  dom picks the dominant representative
 of a Weyl orbit: sort for GL, absolute value for SL2, absolute values then
-sort for Sp.
+sort for Sp.  The tuple functions dom, dominant and local_rule are what the
+word and growth layers compute with; dom_w and is_dominant wrap them for
+Weight.
 """
 from __future__ import annotations
 
@@ -102,13 +104,31 @@ def _same_context(a: Weight, b: Weight) -> None:
         raise ContextMismatch(f"{a.context} vs {b.context}")
 
 
-def is_dominant(w: Weight) -> bool:
-    c = w.coords
-    if w.context.family == GL:
-        return all(c[i] >= c[i + 1] for i in range(len(c) - 1))
-    if w.context.family == SL2:
+def dominant(family: str, c: Sequence[int]) -> bool:
+    """Dominance of a coordinate tuple in the given family."""
+    if family == SL2:
         return c[0] >= 0
-    return all(c[i] >= c[i + 1] for i in range(len(c) - 1)) and c[-1] >= 0
+    if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
+        return False
+    return family == GL or c[-1] >= 0
+
+
+def dom(family: str, c: Sequence[int]) -> tuple[int, ...]:
+    """The dominant representative of the Weyl orbit of a coordinate tuple."""
+    if family == GL:
+        return tuple(sorted(c, reverse=True))
+    if family == SL2:
+        return (abs(c[0]),)
+    return tuple(sorted((abs(x) for x in c), reverse=True))
+
+
+def local_rule(family: str, kappa: Sequence[int], lam: Sequence[int], nu: Sequence[int]) -> tuple[int, ...]:
+    """The minuscule local rule mu = dom_W(kappa + nu - lam) on coordinate tuples."""
+    return dom(family, [k + n - l for k, l, n in zip(kappa, lam, nu)])
+
+
+def is_dominant(w: Weight) -> bool:
+    return dominant(w.context.family, w.coords)
 
 
 def dom_w(w: Weight) -> Weight:
@@ -120,12 +140,7 @@ def dom_w(w: Weight) -> Weight:
     >>> dom_w(CartanContext('Sp', 2).weight([-1, 2])).coords
     (2, 1)
     """
-    fam = w.context.family
-    if fam == GL:
-        return Weight(w.context, tuple(sorted(w.coords, reverse=True)))
-    if fam == SL2:
-        return Weight(w.context, (abs(w.coords[0]),))
-    return Weight(w.context, tuple(sorted((abs(c) for c in w.coords), reverse=True)))
+    return Weight(w.context, dom(w.context.family, w.coords))
 
 
 def weyl_orbit(w: Weight) -> frozenset[tuple[int, ...]]:
@@ -215,19 +230,7 @@ def partition_of_weight(w: Weight) -> Partition:
     return Partition(w.coords)
 
 
-def weight_of_partition(ctx: CartanContext, p: Partition) -> Weight:
-    return Weight(ctx, p.padded(ctx.rank))
-
-
 # -- JSON forms --------------------------------------------------------------
-
-
-def context_to_json(ctx: CartanContext) -> dict:
-    return {"family": ctx.family, "rank": ctx.rank}
-
-
-def context_from_json(obj: dict) -> CartanContext:
-    return CartanContext(obj["family"], int(obj["rank"]))
 
 
 def weight_to_json(w: Weight) -> dict:

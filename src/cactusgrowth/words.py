@@ -6,6 +6,12 @@ every corner is dominant and every difference w_k - w_{k-1} lies in the Weyl
 orbit of the k-th factor's minuscule weight.  Edge labels are redundant and
 omitted.  The elementary move tau_i replaces w_i by dom_W(w_{i-1} + w_{i+1}
 - w_i) and swaps the factor descriptors at i and i+1.
+
+Corners are plain int tuples.  A step is valid when dom_W of its difference
+is the factor's fundamental weight, and cells are completed by
+weights.local_rule.  Weight appears only where callers pass or receive
+single weights (corner, weight, complete_cell, cell_is_valid,
+infer_step_kind).
 """
 from __future__ import annotations
 
@@ -18,9 +24,11 @@ from .weights import (
     SL2,
     SP,
     CartanContext,
+    ContextMismatch,
     Weight,
-    dom_w,
-    is_dominant,
+    dom,
+    dominant,
+    local_rule,
     weyl_orbit,
 )
 
@@ -86,28 +94,39 @@ def exterior(k: int) -> StepKind:
     return StepKind("exterior", k)
 
 
-def step_is_valid(ctx: CartanContext, kind: StepKind, start: Weight, end: Weight) -> bool:
-    if not (is_dominant(start) and is_dominant(end)):
+def step_is_valid(ctx: CartanContext, kind: StepKind, start: Sequence[int], end: Sequence[int]) -> bool:
+    """Both corners dominant and end - start in the Weyl orbit of the kind's
+    fundamental weight, i.e. dom_W(end - start) equals that (dominant) weight."""
+    fam = ctx.family
+    if not (dominant(fam, start) and dominant(fam, end)):
         return False
-    diff = tuple(a - b for a, b in zip(end.coords, start.coords))
-    return diff in kind.orbit(ctx)
+    return dom(fam, [a - b for a, b in zip(end, start)]) == kind.fundamental_weight(ctx)
 
 
 def infer_step_kind(ctx: CartanContext, start: Weight, end: Weight) -> StepKind:
     """Recover the factor descriptor from a single corner pair."""
-    diff = tuple(a - b for a, b in zip(end.coords, start.coords))
+    return _infer_step(ctx, start.coords, end.coords)
+
+
+def _infer_step(ctx: CartanContext, start: tuple[int, ...], end: tuple[int, ...]) -> StepKind:
+    diff = tuple(a - b for a, b in zip(end, start))
+    pair = f"{_fmt(start)} -> {_fmt(end)}"
     if ctx.family == SL2:
         if diff in ((1,), (-1,)):
             return SL2_STEP
-        raise InvalidStep(f"{start} -> {end} is not an SL2 step")
+        raise InvalidStep(f"{pair} is not an SL2 step")
     if ctx.family == SP:
         if sum(abs(d) for d in diff) == 1:
             return VECTOR
-        raise InvalidStep(f"{start} -> {end} is not an Sp vector step")
+        raise InvalidStep(f"{pair} is not an Sp vector step")
     if all(d in (0, 1) for d in diff):
         k = sum(diff)
         return VECTOR if k == 1 else exterior(k)
-    raise InvalidStep(f"{start} -> {end} is not a GL exterior-power step")
+    raise InvalidStep(f"{pair} is not a GL exterior-power step")
+
+
+def _fmt(c: Sequence[int]) -> str:
+    return "[" + ",".join(map(str, c)) + "]"
 
 
 @dataclass(frozen=True)
@@ -122,12 +141,14 @@ class HighestWeightWord:
         r = len(self.steps)
         if len(self.corners) != r + 1:
             raise ValueError(f"{r} steps need {r + 1} corners, got {len(self.corners)}")
+        if any(len(c) != self.context.rank for c in self.corners):
+            raise ValueError(f"corners {self.corners} do not match rank {self.context.rank}")
         if any(c != 0 for c in self.corners[0]):
             raise InvalidStep("a highest weight word starts at the zero weight")
         for k in range(r):
-            a, b = self.corner(k), self.corner(k + 1)
+            a, b = self.corners[k], self.corners[k + 1]
             if not step_is_valid(self.context, self.steps[k], a, b):
-                raise InvalidStep(f"corner {k}: {a} -> {b} is not a valid {self.steps[k]} step")
+                raise InvalidStep(f"corner {k}: {_fmt(a)} -> {_fmt(b)} is not a valid {self.steps[k]} step")
 
     @property
     def r(self) -> int:
@@ -139,17 +160,8 @@ class HighestWeightWord:
     def weight(self) -> Weight:
         return self.corner(self.r)
 
-    def replace_corner(self, k: int, w: Weight, swap_steps: Optional[tuple[int, int]] = None) -> "HighestWeightWord":
-        corners = list(self.corners)
-        corners[k] = w.coords
-        steps = list(self.steps)
-        if swap_steps is not None:
-            a, b = swap_steps
-            steps[a], steps[b] = steps[b], steps[a]
-        return HighestWeightWord(self.context, tuple(steps), tuple(corners))
-
     def __str__(self) -> str:
-        return " -> ".join("[" + ",".join(map(str, c)) + "]" for c in self.corners)
+        return " -> ".join(_fmt(c) for c in self.corners)
 
 
 def word_from_corners(ctx: CartanContext, corners: Sequence[Sequence[int]],
@@ -157,10 +169,7 @@ def word_from_corners(ctx: CartanContext, corners: Sequence[Sequence[int]],
     """Build a word from raw corner vectors, inferring descriptors if absent."""
     tuples = tuple(tuple(int(x) for x in c) for c in corners)
     if steps is None:
-        steps = tuple(
-            infer_step_kind(ctx, Weight(ctx, tuples[k]), Weight(ctx, tuples[k + 1]))
-            for k in range(len(tuples) - 1)
-        )
+        steps = tuple(_infer_step(ctx, tuples[k], tuples[k + 1]) for k in range(len(tuples) - 1))
     return HighestWeightWord(ctx, tuple(steps), tuples)
 
 
@@ -172,12 +181,14 @@ def complete_cell(kappa: Weight, lam: Weight, nu: Weight) -> Weight:
     (mu -> nu) the left factor.
     """
     ctx = kappa.context
+    if not ctx == lam.context == nu.context:
+        raise ContextMismatch(f"cell corners from {ctx}, {lam.context}, {nu.context}")
     kind_left = infer_step_kind(ctx, kappa, lam)
     kind_top = infer_step_kind(ctx, lam, nu)
-    mu = dom_w(kappa + nu - lam)
-    if not (step_is_valid(ctx, kind_top, kappa, mu) and step_is_valid(ctx, kind_left, mu, nu)):
+    mu = local_rule(ctx.family, kappa.coords, lam.coords, nu.coords)
+    if not (step_is_valid(ctx, kind_top, kappa.coords, mu) and step_is_valid(ctx, kind_left, mu, nu.coords)):
         raise InvalidStep(f"cell ({kappa}, {lam}, {nu}) does not complete minuscule-wise")
-    return mu
+    return Weight(ctx, mu)
 
 
 def cell_is_valid(kappa: Weight, lam: Weight, nu: Weight, mu: Weight) -> bool:
@@ -194,9 +205,9 @@ def tau(w: HighestWeightWord, i: int) -> HighestWeightWord:
     """The local move at position i (1 <= i <= r-1)."""
     if not 1 <= i <= w.r - 1:
         raise ValueError(f"tau index {i} out of range for r={w.r}")
-    mid = dom_w(w.corner(i - 1) + w.corner(i + 1) - w.corner(i))
-    out = w.replace_corner(i, mid, swap_steps=(i - 1, i))
-    return out
+    c, s = w.corners, w.steps
+    mid = local_rule(w.context.family, c[i - 1], c[i], c[i + 1])
+    return HighestWeightWord(w.context, s[:i - 1] + (s[i], s[i - 1]) + s[i + 1:], c[:i] + (mid,) + c[i + 1:])
 
 
 def tau_word(w: HighestWeightWord, indices: Iterable[int]) -> HighestWeightWord:
@@ -288,7 +299,7 @@ def enumerate_hw_words(ctx: CartanContext, kinds: Sequence[StepKind]) -> list[Hi
             last = corners[-1]
             for diff in orbit:
                 nxt = tuple(a + b for a, b in zip(last, diff))
-                if is_dominant(Weight(ctx, nxt)):
+                if dominant(ctx.family, nxt):
                     grown.append(corners + (nxt,))
         partial = grown
     return [HighestWeightWord(ctx, tuple(kinds), corners) for corners in partial]

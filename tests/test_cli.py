@@ -46,6 +46,14 @@ def test_act_requires_one_source(capsys):
     assert code == 2
 
 
+def test_argparse_error_is_one_line(capsys):
+    code, out, err = run(capsys, "act")
+    assert code == 2
+    assert out == "" and err.splitlines() == ["usage error: the following arguments are required: --word"]
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: cactusgrowth")
+
+
 def test_evacuate_and_promote_json(capsys, tmp_path):
     word = {"context": {"family": "Sp", "rank": 2}, "steps": ["vector"] * 6,
             "corners": [[0, 0], [1, 0], [1, 1], [1, 0], [1, 1], [1, 0], [0, 0]]}

@@ -1,9 +1,12 @@
+from itertools import product
+
 import pytest
 
-from cactusgrowth.weights import CartanContext, Weight
+from cactusgrowth.weights import CartanContext, Weight, dom_w, is_dominant, local_rule
 from cactusgrowth.words import (
     HighestWeightWord,
     InvalidStep,
+    SL2_STEP,
     VECTOR,
     complete_cell,
     cell_is_valid,
@@ -11,6 +14,7 @@ from cactusgrowth.words import (
     enumerate_hw_words,
     exterior,
     infer_step_kind,
+    step_is_valid,
     syt_to_word,
     tau,
     word_from_corners,
@@ -38,6 +42,28 @@ def test_word_validation():
         w(GL2, (0, 0), (1, 0), (1, -1))  # corners must stay dominant
     with pytest.raises(InvalidStep):
         w(GL2, (0, 0), (2, 0))  # not a single-box step for the inferred kind
+
+
+@pytest.mark.parametrize(
+    "ctx", [CartanContext("GL", n) for n in range(1, 5)] + [SP4, CartanContext("Sp", 3), SL2], ids=str
+)
+def test_closed_forms_match_orbit_and_weight_arithmetic(ctx):
+    """step_is_valid's dom_W test against Weyl-orbit membership, and
+    local_rule against Weight arithmetic, over every start and difference
+    in a box."""
+    kinds = {"GL": [VECTOR] + [exterior(k) for k in range(ctx.rank + 1)],
+             "Sp": [VECTOR], "SL2": [SL2_STEP, VECTOR]}[ctx.family]
+    starts = list(product(range(-1, 3), repeat=ctx.rank))
+    diffs = list(product(range(-1, 2), repeat=ctx.rank))
+    orbits = {kind: kind.orbit(ctx) for kind in kinds}
+    for s, d in product(starts, diffs):
+        start, end = Weight(ctx, s), Weight(ctx, tuple(a + b for a, b in zip(s, d)))
+        dominant = is_dominant(start) and is_dominant(end)
+        for kind, orbit in orbits.items():
+            assert step_is_valid(ctx, kind, start.coords, end.coords) == (dominant and d in orbit), (s, d, kind)
+        # the cell kappa = s, lam = s + d, nu = s - d
+        nu = Weight(ctx, tuple(a - b for a, b in zip(s, d)))
+        assert local_rule(ctx.family, start.coords, end.coords, nu.coords) == dom_w(start + nu - end).coords
 
 
 def test_infer_step_kind():
