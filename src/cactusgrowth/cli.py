@@ -244,6 +244,9 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 
 def cmd_hecke(args) -> int:
     shape = _parse_shape(args.shape)
+    dim = oracles.count_syt(shape)
+    if dim > args.max_size:
+        raise SizeLimit(f"shape {args.shape} has {dim} standard tableaux, over the cap of {args.max_size}")
     if args.hecke_cmd == "check":
         rep = suites.check_hecke_single(shape)
         for line in rep.failures:
@@ -269,33 +272,34 @@ def cmd_hecke(args) -> int:
     return EXIT_OK
 
 
+# suite -> (kwargs under --tiny, kwargs otherwise).  The full bounds are the
+# acceptance bounds; --r and --maxsize replace the r_max and max_boxes they
+# name there, and --seed replaces seed in both.
+_SUITE_BOUNDS: dict[str, tuple[dict, dict]] = {
+    "algebra": ({"seed": 0}, {"seed": 0}),
+    "weights": ({}, {}),
+    "crystal": ({"r_max": 3, "catalan_r": 6}, {"r_max": 5, "catalan_r": 10}),
+    "cactus": ({"r_max": 3}, {"r_max": 6}),
+    "taupresentation": ({"r": 5}, {"r": 5}),
+    "hecke": ({"max_boxes": 4}, {"max_boxes": 6}),
+    "heckecactus": ({"r_max": 3, "max_boxes": 3, "bk_r": 4}, {}),
+    "oracle": ({"max_boxes": 5, "bk_shape": (2, 2, 1), "bk_entries": 4}, {"max_boxes": 8}),
+    "morphism": ({}, {}),
+    "wallcross": ({"r_max": 3}, {"r_max": 5}),
+}
+
+
 def cmd_verify(args) -> int:
     names = list(suites.ALL_SUITES) if args.suite == "all" else [args.suite]
+    overrides = {"seed": args.seed}
+    if not args.tiny:
+        overrides.update(r_max=args.r, max_boxes=args.maxsize)
     failures = 0
     checks = 0
     for name in names:
         fn = suites.ALL_SUITES[name]
-        kwargs = {}
-        if name == "cactus":
-            kwargs["r_max"] = 3 if args.tiny else (args.r or 6)
-        elif name == "taupresentation":
-            kwargs["r"] = 5
-        elif name == "hecke":
-            kwargs["max_boxes"] = 4 if args.tiny else (args.maxsize or 6)
-        elif name == "heckecactus":
-            if args.tiny:
-                kwargs.update(r_max=3, max_boxes=3, bk_r=4)
-        elif name == "oracle":
-            kwargs["max_boxes"] = 5 if args.tiny else (args.maxsize or 8)
-            if args.tiny:
-                kwargs.update(bk_shape=(2, 2, 1), bk_entries=4)
-        elif name == "crystal":
-            kwargs["r_max"] = 3 if args.tiny else (args.r or 5)
-            kwargs["catalan_r"] = 6 if args.tiny else 10
-        elif name == "wallcross":
-            kwargs["r_max"] = 3 if args.tiny else (args.r or 5)
-        elif name == "algebra":
-            kwargs["seed"] = args.seed
+        kwargs = dict(_SUITE_BOUNDS[name][0 if args.tiny else 1])
+        kwargs.update((k, v) for k, v in overrides.items() if k in kwargs and v is not None)
         rep = fn(**kwargs)
         for line in rep.failures:
             print("FAIL:", line)
@@ -432,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "ascii"), default="json")
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized property sampling")
     ap.add_argument("--max-size", type=int, default=10**6, dest="max_size",
-                    help="element cap for materialized crystals")
+                    help="element cap for materialized crystals and Hecke bases")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("act", help="apply a cactus word to a highest weight word")

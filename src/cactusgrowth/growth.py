@@ -9,6 +9,12 @@ compute rectification, and cylindrical windows carry the general action:
 crossing the wall of s(p,q) reflects a diagonal band of the window and
 local-rule completion supplies the rest.
 
+act_gen computes every s(p,q) in one pass: one triangle over the length-q
+prefix gives its column q, that column read upside down is the new row
+p-1, and an upward local-rule sweep over the band gives the new top row.
+wall_cross reaches the same word through a cylindrical window and shares
+nothing with act_gen beyond the local rule, so it is the independent check.
+
 Corners are plain int tuples and every cell is filled by weights.local_rule.
 Weight appears only in the public accessors that hand single weights to
 callers: triangle_rows, complete_rectangle and CylWindow.value / shape.
@@ -18,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cactus import CactusGen, CactusWord, act_word, reduce_to_s1q
-from .weights import CartanContext, Weight, dominant, local_rule
+from .cactus import CactusGen, CactusWord, act_word
+from .weights import CartanContext, Corner, Weight, dominant, local_rule
 from .words import (
     HighestWeightWord,
     InvalidStep,
@@ -29,8 +35,6 @@ from .words import (
     infer_step_kind,
     word_from_corners,
 )
-
-Corner = tuple[int, ...]
 
 
 class BadPath(ValueError):
@@ -46,17 +50,17 @@ def triangle_rows(w: HighestWeightWord) -> list[list[Weight]]:
     Row a holds gamma(a, b) for b = a..r; gamma(a, a) = 0 and each new row
     is filled left to right by the local rule.
     """
-    return [[Weight(w.context, c) for c in row] for row in _triangle(w)]
+    return [[Weight(w.context, c) for c in row] for row in _triangle(w.context.family, w.corners)]
 
 
-def _triangle(w: HighestWeightWord) -> list[list[Corner]]:
-    fam = w.context.family
-    rows = [list(w.corners)]
-    for a in range(1, w.r + 1):
+def _triangle(fam: str, corners: tuple[Corner, ...]) -> list[list[Corner]]:
+    r = len(corners) - 1
+    rows = [list(corners)]
+    for a in range(1, r + 1):
         prev = rows[-1]
-        row = [w.corners[0]]
+        row = [corners[0]]
         # gamma(a, a+j) from kappa = gamma(a, a+j-1), lam = gamma(a-1, a+j-1), nu = gamma(a-1, a+j)
-        for j in range(1, w.r - a + 1):
+        for j in range(1, r - a + 1):
             row.append(local_rule(fam, row[-1], prev[j], prev[j + 1]))
         rows.append(row)
     return rows
@@ -64,7 +68,7 @@ def _triangle(w: HighestWeightWord) -> list[list[Corner]]:
 
 def evacuation(w: HighestWeightWord) -> HighestWeightWord:
     """The prefix reversal s(1,r) read off the right edge of the triangle."""
-    rows = _triangle(w)
+    rows = _triangle(w.context.family, w.corners)
     r = w.r
     # gamma(a, b) sits at rows[a][b - a]; the right edge is column b = r
     corners = tuple(rows[r - k][k] for k in range(r + 1))
@@ -83,11 +87,35 @@ def prefix_reversal(w: HighestWeightWord, q: int) -> HighestWeightWord:
 
 
 def act_gen(g: CactusGen, w: HighestWeightWord) -> HighestWeightWord:
-    """The action of a single generator, via its s(1,*) reduction."""
-    reduced = reduce_to_s1q(g, w.r)
-    for h in reversed(reduced.gens):
-        w = prefix_reversal(w, h.q)
-    return w
+    """The action of a single generator s(p,q): one triangle and a band sweep.
+
+    The triangle over the length-q prefix gives its column q, gamma(a, q)
+    for a = 0..q.  The new row p-1 reads that column upside down,
+    gamma'(p-1, j) = gamma(p+q-1-j, q) for p-1 <= j <= q.  Each row above
+    it is completed right to left by the local rule, with gamma'(k, k) = 0
+    and gamma'(k, q) = gamma(k, q).  The new top row, followed by the
+    unchanged corners beyond q, is the image; for p = 1 it is the
+    evacuation of the prefix.  Only that final word is built and checked.
+    """
+    p, q = g.p, g.q
+    c = w.corners
+    if q > w.r:
+        raise ValueError(f"{g} out of bounds for r={w.r}")
+    fam = w.context.family
+    # column q of the prefix triangle: col[a] = gamma(a, q)
+    col = [row[-1] for row in _triangle(fam, c[: q + 1])]
+    # rows are indexed by absolute column j; the zero corner fills every column
+    # left of row p-1's diagonal, so it is also gamma'(k, k) for each row above
+    below = [c[0]] * (p - 1) + [col[p + q - 1 - j] for j in range(p - 1, q + 1)]
+    for k in range(p - 2, -1, -1):
+        row = list(below)
+        row[q] = col[k]
+        # the cell at rows k, k+1 and columns j, j+1 has the unknown top-left corner
+        for j in range(q - 1, k, -1):
+            row[j] = local_rule(fam, below[j], below[j + 1], row[j + 1])
+        below = row
+    steps = w.steps[: p - 1] + w.steps[p - 1: q][::-1] + w.steps[q:]
+    return HighestWeightWord(w.context, steps, tuple(below) + c[q + 1:])
 
 
 def act(g: CactusWord, w: HighestWeightWord) -> HighestWeightWord:
@@ -365,7 +393,7 @@ def render_window_ascii(win: CylWindow) -> str:
 
 
 def render_triangle_ascii(w: HighestWeightWord) -> str:
-    return _render_rows(_triangle(w))
+    return _render_rows(_triangle(w.context.family, w.corners))
 
 
 def _render_rows(rows: Sequence[Sequence[Corner]]) -> str:

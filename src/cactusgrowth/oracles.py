@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .weights import Partition, conjugate, strip_check
@@ -88,6 +89,22 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
 
     rec(n, n, [])
     return out
+
+
+def count_syt(shape: Sequence[int]) -> int:
+    """Number of standard tableaux of a partition shape, by the hook-length
+    formula; nothing is enumerated.
+
+    >>> count_syt((3, 2))
+    5
+    """
+    parts = Partition(s for s in shape if s).parts
+    cols = conjugate(Partition(parts)).parts
+    hooks = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            hooks *= row - j + cols[j] - i - 1
+    return factorial(sum(parts)) // hooks
 
 
 @lru_cache(maxsize=None)

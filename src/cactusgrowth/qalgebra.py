@@ -369,7 +369,10 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laur
 
 
 def ratfn_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Field arithmetic dispatch used by the CLI; op is one of '+', '-', '*', '/'."""
+    """Field arithmetic dispatched on an operator symbol: '+', '-', '*' (or 'x'), '/'.
+
+    No CLI command uses it; it is a convenience for scripts and tests.
+    """
     if op == "+":
         return a + b
     if op == "-":

@@ -136,6 +136,31 @@ def test_hecke_check_and_matrix(capsys):
     assert "basis: 12/3 13/2" in out
 
 
+def test_hecke_shape_over_the_size_cap(capsys):
+    # 7 646 001 090 standard tableaux: refused from the hook-length count
+    code, out, err = run(capsys, "hecke", "matrix", "--shape", "10,10,10")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["domain error: shape 10,10,10 has 7646001090 standard tableaux, "
+                                "over the cap of 1000000"]
+    code, out, err = run(capsys, "--max-size", "4", "hecke", "matrix", "--shape", "3,2")
+    assert code == 3 and out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+    code, _, err = run(capsys, "--max-size", "4", "hecke", "check", "--shape", "3,2")
+    assert code == 3 and len(err.splitlines()) == 1
+
+
+def test_hecke_shape_within_the_size_cap(capsys):
+    code, out, _ = run(capsys, "hecke", "matrix", "--shape", "3,2")
+    assert code == 0 and out.startswith("basis: 123/45 ")
+    code, out, _ = run(capsys, "--max-size", "5", "hecke", "matrix", "--shape", "3,2")
+    assert code == 0
+
+
+def test_hecke_shape_that_is_not_a_partition(capsys):
+    for shape in ("1,2", "-1"):
+        code, out, err = run(capsys, "hecke", "matrix", "--shape", shape)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
 def test_verify_tiny(capsys):
     code, out, _ = run(capsys, "verify", "cactus", "--tiny")
     assert code == 0

@@ -1,6 +1,6 @@
 import pytest
 
-from cactusgrowth.cactus import CactusGen, CactusWord, parse_cactus_word, word as cword
+from cactusgrowth.cactus import CactusGen, CactusWord, parse_cactus_word, reduce_to_s1q, word as cword
 from cactusgrowth.growth import (
     BadPath,
     act,
@@ -18,7 +18,7 @@ from cactusgrowth.growth import (
 )
 from cactusgrowth.oracles import enumerate_syt, evacuation_oracle, partitions_of, promotion_oracle, syt_from_string
 from cactusgrowth.weights import CartanContext, Weight
-from cactusgrowth.words import VECTOR, enumerate_hw_words, syt_to_word, word_from_corners, word_to_syt
+from cactusgrowth.words import SL2_STEP, VECTOR, enumerate_hw_words, exterior, syt_to_word, word_from_corners, word_to_syt
 
 GL2 = CartanContext("GL", 2)
 GL3 = CartanContext("GL", 3)
@@ -322,3 +322,29 @@ def test_prefix_reversal_fixes_suffix():
     assert out.corners[4:] == w.corners[4:]
     assert out.corners[0] == (0, 0)
     assert out.corners[3] == w.corners[3]
+
+
+def _via_prefix_reversals(g, w):
+    for h in reversed(reduce_to_s1q(g, w.r).gens):
+        w = prefix_reversal(w, h.q)
+    return w
+
+
+def test_act_equals_prefix_reversal_fold_exhaustive():
+    # the one-triangle band computation of act_gen against the path it
+    # replaced: s(p,q) = s(1,q) s(1,q-p+1) s(1,q), each factor an evacuated
+    # prefix; the four r = 6 families and a mixed-factor family in full, every
+    # third word of SL2 r = 8 and Sp(6) r = 7
+    from cactusgrowth.suites import standard_word_suites
+
+    cases = [(kinds, enumerate_hw_words(ctx, kinds)) for _, ctx, kinds in standard_word_suites(6)]
+    mixed = (VECTOR, exterior(2), exterior(3), VECTOR, exterior(2), VECTOR)
+    cases.append((mixed, enumerate_hw_words(CartanContext("GL", 4), mixed)))
+    for ctx, kinds in ((SL2, (SL2_STEP,) * 8), (CartanContext("Sp", 3), (VECTOR,) * 7)):
+        cases.append((kinds, enumerate_hw_words(ctx, kinds)[::3]))
+    for kinds, ws in cases:
+        r = len(kinds)
+        gens = [CactusGen(p, q) for p in range(1, r + 1) for q in range(p + 1, r + 1)]
+        for w in ws:
+            for g in gens:
+                assert act(CactusWord(r, (g,)), w) == _via_prefix_reversals(g, w), (g, w)

@@ -7,6 +7,7 @@ from cactusgrowth.oracles import (
     StripViolation,
     all_matchings,
     bender_knuth,
+    count_syt,
     dual_knuth,
     dual_sequence,
     enumerate_ssyt,
@@ -38,20 +39,12 @@ def test_enumerate_syt_counts():
     assert len(enumerate_syt((3, 3))) == 5
     assert len(enumerate_syt((2, 2, 1))) == 5
     assert len(enumerate_syt((4,))) == 1
-    # hook length check over all shapes of 6
-    from math import factorial
-
-    def hooks(shape):
-        prod = 1
-        cols = Partition(shape)
-        conj = [sum(1 for s in shape if s > j) for j in range(shape[0])]
-        for i, s in enumerate(shape):
-            for j in range(s):
-                prod *= (s - j) + (conj[j] - i) - 1
-        return factorial(sum(shape)) // prod
-
-    for shape in partitions_of(6):
-        assert len(enumerate_syt(shape)) == hooks(shape)
+    # the hook-length count against the enumeration, on every shape up to 8 boxes
+    for n in range(9):
+        for shape in partitions_of(n):
+            assert count_syt(shape) == len(enumerate_syt(shape))
+    assert count_syt((3, 0)) == 1
+    assert count_syt((10, 10, 10)) == 7_646_001_090
 
 
 def test_evacuation_examples():
