@@ -110,31 +110,36 @@ def act_word(w: CactusWord, x: T, apply_gen: Callable[[CactusGen, T], T]) -> T:
     return x
 
 
-def relation_check(kind: str, params: Sequence[int], r: int,
-                   action: Callable[[CactusWord, T], T], x: T) -> bool:
-    """Check a defining relation on one point of an action.
+def relation_words(kind: str, params: Sequence[int], r: int) -> tuple[CactusWord, CactusWord]:
+    """The two words a defining relation equates.
 
-    kind 'involution': params (p, q);  s(p,q)^2 fixes x.
-    kind 'disjoint':   params (p, q, k, l) with [p,q] and [k,l] disjoint.
+    kind 'involution': params (p, q);  s(p,q) s(p,q) = e.
+    kind 'disjoint':   params (p, q, k, l) with [p,q] and [k,l] disjoint:
+                       s(p,q) s(k,l) = s(k,l) s(p,q).
     kind 'nested':     params (p, q, k, l) with [k,l] inside [p,q]:
                        s(p,q) s(k,l) = s(p+q-l, p+q-k) s(p,q).
     """
     if kind == "involution":
         p, q = params
-        return action(word(r, (p, q), (p, q)), x) == x
+        return word(r, (p, q), (p, q)), word(r)
     if kind == "disjoint":
         p, q, k, l = params
         if not (q < k or l < p):
             raise BadParams(f"[{p},{q}] and [{k},{l}] are not disjoint")
-        return action(word(r, (p, q), (k, l)), x) == action(word(r, (k, l), (p, q)), x)
+        return word(r, (p, q), (k, l)), word(r, (k, l), (p, q))
     if kind == "nested":
         p, q, k, l = params
         if not (p <= k < l <= q):
             raise BadParams(f"[{k},{l}] is not nested in [{p},{q}]")
-        lhs = word(r, (p, q), (k, l))
-        rhs = word(r, (p + q - l, p + q - k), (p, q))
-        return action(lhs, x) == action(rhs, x)
+        return word(r, (p, q), (k, l)), word(r, (p + q - l, p + q - k), (p, q))
     raise BadParams(f"unknown relation kind {kind!r}")
+
+
+def relation_check(kind: str, params: Sequence[int], r: int,
+                   action: Callable[[CactusWord, T], T], x: T) -> bool:
+    """Check a defining relation (see relation_words) on one point of an action."""
+    lhs, rhs = relation_words(kind, params, r)
+    return action(lhs, x) == action(rhs, x)
 
 
 def admissible_pairs(r: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -182,6 +187,17 @@ def tau_to_s(t: TauGen, r: int) -> CactusWord:
     return word(r, (1, i), (1, i + 1), (1, i), (1, i - 1))
 
 
+def tau_relators(r: int) -> list[tuple[tuple[int, int, int], tuple[int, ...]]]:
+    """The third relation of the tau presentation at r strands: for every
+    i+1 < j < k <= r, the tau word q_{k-1} q_{k-j} q_{k-1} tau_i (a
+    conjugate of tau_i q_{k-1} q_{k-j} q_{k-1}) squares to the identity.
+    Returns ((i, j, k), tau word) pairs."""
+    return [
+        ((i, j, k), q_element(k - 1) + q_element(k - j) + q_element(k - 1) + (i,))
+        for i in range(1, r) for j in range(i + 2, r) for k in range(j + 1, r + 1)
+    ]
+
+
 # -- text grammar ------------------------------------------------------------
 
 _GEN_RE = re.compile(r"s\(\s*(\d+)\s*,\s*(\d+)\s*\)")
@@ -203,10 +219,3 @@ def parse_cactus_word(text: str, r: int) -> CactusWord:
         raise ValueError(f"unparsed text {s[pos:]!r} in cactus word")
     return CactusWord(r, tuple(gens))
 
-
-def word_to_json(w: CactusWord) -> list[list[int]]:
-    return [[g.p, g.q] for g in w.gens]
-
-
-def word_from_json(obj: Sequence[Sequence[int]], r: int) -> CactusWord:
-    return CactusWord(r, tuple(CactusGen(int(p), int(q)) for p, q in obj))

@@ -21,8 +21,8 @@ from typing import Optional
 from . import growth, hecke, oracles, suites, words
 from .cactus import CactusGen, parse_cactus_word
 from .crystal import BadParameter, SizeLimit, crystal_to_json, decompose
-from .qalgebra import DimensionMismatch, DivisionByZero, ParseError
-from .weights import GL, SL2, SP, CartanContext, ContextMismatch, NotDominant
+from .qalgebra import DimensionMismatch, DivisionByZero
+from .weights import GL, SL2, SP, CartanContext, ContextMismatch
 from .words import HighestWeightWord, InvalidStep
 
 EXIT_OK = 0
@@ -33,7 +33,6 @@ EXIT_DOMAIN = 3
 _DOMAIN_ERRORS = (
     InvalidStep,
     ContextMismatch,
-    NotDominant,
     BadParameter,
     SizeLimit,
     DimensionMismatch,
@@ -248,7 +247,7 @@ def cmd_hecke(args) -> int:
     if dim > args.max_size:
         raise SizeLimit(f"shape {args.shape} has {dim} standard tableaux, over the cap of {args.max_size}")
     if args.hecke_cmd == "check":
-        rep = suites.check_hecke_single(shape)
+        rep = suites.check_hecke_shape(shape)
         for line in rep.failures:
             print("FAIL:", line)
         print(rep.summary())
@@ -512,15 +511,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (json.JSONDecodeError, ParseError, ValueError) as exc:
-        if isinstance(exc, _DOMAIN_ERRORS):
-            print(f"domain error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except _DOMAIN_ERRORS as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except ValueError as exc:  # also json.JSONDecodeError and ParseError
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_USAGE

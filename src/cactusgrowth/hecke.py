@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .cactus import CactusWord, s_to_tau
 from .oracles import StandardTableau, enumerate_syt
@@ -95,20 +95,27 @@ def _swap_coeff(a: int) -> RationalFunction:
     return RationalFunction(q_int(a - 1) * q_int(a + 1), q_int(a) * q_int(a))
 
 
-def u_matrix(rep: SeminormalRep, i: int) -> QMatrix:
-    """Matrix of the Hecke generator u_i (columns indexed by input tableaux)."""
+def _generator(rep: SeminormalRep, i: int,
+               diagonal: Callable[[int], RationalFunction]) -> QMatrix:
+    """A seminormal generator at i: diagonal(a) on T, the swap coefficient
+    on T with i, i+1 exchanged (columns indexed by input tableaux)."""
     rep._check_index(i)
     zero = RationalFunction.zero()
     cols = []
     for k in range(rep.dimension):
         a = rep.axial(k, i)
         col = [zero] * rep.dimension
-        col[k] = -RationalFunction(q_int(a - 1), q_int(a))
+        col[k] = diagonal(a)
         j = rep.swap(k, i)
         if j is not None:
             col[j] = _swap_coeff(a)
         cols.append(col)
     return QMatrix([[cols[c][r] for c in range(rep.dimension)] for r in range(rep.dimension)])
+
+
+def u_matrix(rep: SeminormalRep, i: int) -> QMatrix:
+    """Matrix of the Hecke generator u_i."""
+    return _generator(rep, i, lambda a: -RationalFunction(q_int(a - 1), q_int(a)))
 
 
 def t_matrix(rep: SeminormalRep, i: int, inverse: bool = False) -> QMatrix:
@@ -119,18 +126,7 @@ def t_matrix(rep: SeminormalRep, i: int, inverse: bool = False) -> QMatrix:
 
 def tau_matrix(rep: SeminormalRep, i: int) -> QMatrix:
     """The involutive local-rule generator tau_i."""
-    rep._check_index(i)
-    zero = RationalFunction.zero()
-    cols = []
-    for k in range(rep.dimension):
-        a = rep.axial(k, i)
-        col = [zero] * rep.dimension
-        col[k] = RationalFunction(LaurentPoly.one(), q_int(a))
-        j = rep.swap(k, i)
-        if j is not None:
-            col[j] = _swap_coeff(a)
-        cols.append(col)
-    return QMatrix([[cols[c][r] for c in range(rep.dimension)] for r in range(rep.dimension)])
+    return _generator(rep, i, lambda a: RationalFunction(LaurentPoly.one(), q_int(a)))
 
 
 def jm_matrix(rep: SeminormalRep, i: int, power: Union[int, Fraction] = 1) -> QMatrix:
@@ -187,23 +183,16 @@ def tau_via_jm(rep: SeminormalRep, i: int) -> QMatrix:
 
 
 def cactus_matrix(w: CactusWord, rep: SeminormalRep) -> QMatrix:
-    """Image of a cactus word: convert each generator to its tau word and
-    multiply, rightmost generator acting first."""
-    out = QMatrix.identity(rep.dimension)
-    taus = {i: tau_matrix(rep, i) for i in range(1, rep.r)} if rep.r >= 2 else {}
-    for g in w.gens:
-        for i in s_to_tau(g):
-            if i >= rep.r:
-                raise IndexOutOfRange(f"tau_{i} out of range for r={rep.r}")
-        mat = QMatrix.identity(rep.dimension)
-        for i in s_to_tau(g):
-            mat = mat * taus[i]
-        out = out * mat
-    return out
+    """Image of a cactus word: the product of its generators' tau words,
+    rightmost generator acting first."""
+    return tau_word_matrix([i for g in w.gens for i in s_to_tau(g)], rep)
 
 
 def tau_word_matrix(indices: Sequence[int], rep: SeminormalRep) -> QMatrix:
+    """The product tau_(i_1) tau_(i_2) ... of a tau word; each distinct
+    tau_i is built once."""
+    taus = {i: tau_matrix(rep, i) for i in set(indices)}
     out = QMatrix.identity(rep.dimension)
     for i in indices:
-        out = out * tau_matrix(rep, i)
+        out = out * taus[i]
     return out

@@ -368,22 +368,6 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laur
     return _from_dense(vn - vd, fn), _from_dense(0, fd)
 
 
-def ratfn_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Field arithmetic dispatched on an operator symbol: '+', '-', '*' (or 'x'), '/'.
-
-    No CLI command uses it; it is a convenience for scripts and tests.
-    """
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op in ("*", "x"):
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 class QMatrix:
     """A dense matrix with RationalFunction entries, exact throughout."""
 

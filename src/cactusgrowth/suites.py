@@ -2,14 +2,18 @@
 
 Each suite function returns a SuiteReport with the number of checks run and
 a list of failure descriptions (empty on success).  All checks are exact;
-there are no tolerances anywhere.
+there are no tolerances anywhere.  The cactus relations are read from
+cactus.relation_words and the tau-presentation relators from
+cactus.tau_relators, both for the word action and for seminormal matrices;
+check_hecke_shape is the identity battery of one Hecke shape, run by
+check_hecke on every shape and by `hecke check` on one.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import cactus as cact
 from . import crystal as crys
@@ -71,11 +75,10 @@ def _action_tables(ctx: CartanContext, kinds: Sequence[StepKind]):
     return all_words, tables
 
 
-def _apply(tables, gens: Iterable[tuple[int, int]], start: int) -> int:
-    """Apply generators rightmost-first through the lookup tables."""
-    x = start
-    for p, q in reversed(list(gens)):
-        x = tables[(p, q)][x]
+def _apply(tables, w: CactusWord, x: int) -> int:
+    """Apply a word rightmost-first through the lookup tables."""
+    for g in reversed(w.gens):
+        x = tables[(g.p, g.q)][x]
     return x
 
 
@@ -95,22 +98,8 @@ def check_cactus(r_max: int = 6) -> SuiteReport:
             all_words, tables = _action_tables(ctx, kinds)
             n = len(all_words)
             for kind, params in pairs:
-                if kind == "involution":
-                    p, q = params
-                    good = all(_apply(tables, [(p, q), (p, q)], x) == x for x in range(n))
-                elif kind == "disjoint":
-                    p, q, k, l = params
-                    good = all(
-                        _apply(tables, [(p, q), (k, l)], x) == _apply(tables, [(k, l), (p, q)], x)
-                        for x in range(n)
-                    )
-                else:
-                    p, q, k, l = params
-                    good = all(
-                        _apply(tables, [(p, q), (k, l)], x)
-                        == _apply(tables, [(p + q - l, p + q - k), (p, q)], x)
-                        for x in range(n)
-                    )
+                lhs, rhs = cact.relation_words(kind, params, r)
+                good = all(_apply(tables, lhs, x) == _apply(tables, rhs, x) for x in range(n))
                 rep.ok(good, f"{name} r={r}: {kind} {params} fails on the word action")
             # tau involutivity and distant commutation on the same families
             for i in range(1, r):
@@ -162,13 +151,67 @@ def check_tau_presentation(r: int = 5) -> SuiteReport:
     (tau_i q_{k-1} q_{k-j} q_{k-1})^2 = 1 for i+1 < j < k, on the word
     action for GL(2) and GL(3) families."""
     rep = SuiteReport(f"tau presentation (r = {r})")
-    triples = [(i, j, k) for i in range(1, r) for j in range(i + 2, r) for k in range(j + 1, r + 1)]
     for name, ctx, kinds in standard_word_suites(r)[:2]:
         all_words = enumerate_hw_words(ctx, kinds)
-        for i, j, k in triples:
-            seq = (cact.q_element(k - 1) + cact.q_element(k - j) + cact.q_element(k - 1) + (i,)) * 2
-            good = all(words.tau_word(w, seq) == w for w in all_words)
+        for (i, j, k), seq in cact.tau_relators(r):
+            good = all(words.tau_word(w, seq * 2) == w for w in all_words)
             rep.ok(good, f"{name}: (tau_{i} q_{k-1} q_{k-j} q_{k-1})^2 != 1")
+    return rep
+
+
+def check_hecke_shape(shape: Sequence[int], rep: SuiteReport | None = None) -> SuiteReport:
+    """The exact identity battery in the seminormal representation of one
+    shape (drives `hecke check`); records into rep when given."""
+    shape = tuple(shape)
+    if rep is None:
+        rep = SuiteReport(f"hecke identities for shape {shape}")
+    n = sum(shape)
+    neg2 = RationalFunction(-q_int(2))
+    half = Fraction(1, 2)
+    srep = hecke.SeminormalRep(shape)
+    ident = QMatrix.identity(srep.dimension)
+    us = {i: hecke.u_matrix(srep, i) for i in range(1, n)}
+    ts = {i: hecke.t_matrix(srep, i) for i in range(1, n)}
+    taus = {i: hecke.tau_matrix(srep, i) for i in range(1, n)}
+    for i in range(1, n):
+        rep.ok(us[i] * us[i] == us[i].scale(neg2), f"{shape}: u_{i}^2 != -[2]u_{i}")
+        rep.ok(taus[i] * taus[i] == ident, f"{shape}: tau_{i}^2 != 1")
+        rep.ok(
+            taus[i] == hecke.jm_matrix(srep, i - 1, half) * ts[i] * hecke.jm_matrix(srep, i, -half),
+            f"{shape}: tau_{i} != J^(1/2) t J^(-1/2)",
+        )
+        rep.ok(
+            ts[i] * hecke.t_matrix(srep, i, inverse=True) == ident,
+            f"{shape}: t_{i} t_{i}^-1 != 1",
+        )
+    for i in range(1, n - 1):
+        rep.ok(
+            us[i] * us[i + 1] * us[i] - us[i] == us[i + 1] * us[i] * us[i + 1] - us[i + 1],
+            f"{shape}: modified braid fails at {i}",
+        )
+        rep.ok(ts[i] * ts[i + 1] * ts[i] == ts[i + 1] * ts[i] * ts[i + 1], f"{shape}: braid fails at {i}")
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            rep.ok(us[i] * us[j] == us[j] * us[i], f"{shape}: u_{i} u_{j} do not commute")
+    jms = {i: hecke.jm_matrix(srep, i) for i in range(n)}
+    for i in range(n):
+        rep.ok(jms[i] == hecke.jm_word_product(srep, i), f"{shape}: J_{i} word product mismatch")
+        for j in range(n):
+            rep.ok(jms[i] * jms[j] == jms[j] * jms[i], f"{shape}: J_{i} J_{j} do not commute")
+    # off-block entries vanish: u_i couples only T and its i-swap
+    for i in range(1, n):
+        for a in range(srep.dimension):
+            for b in range(srep.dimension):
+                if a != b and srep.swap(b, i) != a:
+                    rep.ok(us[i][a, b].is_zero(), f"{shape}: u_{i} couples non-swap pair")
+    if n >= 2:
+        sig = hecke.sigma_vv(srep)
+        rep.ok(sig == taus[1], f"{shape}: sigma_VV != tau_1")
+        rep.ok(sig * sig == ident, f"{shape}: sigma_VV not involutive")
+        rep.ok(
+            ts[1] * hecke.t_squared_inverse_sqrt(srep) == sig,
+            f"{shape}: t (t^2)^(-1/2) != sigma_VV",
+        )
     return rep
 
 
@@ -176,53 +219,9 @@ def check_hecke(max_boxes: int = 6) -> SuiteReport:
     """Exact matrix identities in every seminormal representation with at
     most max_boxes boxes."""
     rep = SuiteReport(f"hecke seminormal (shapes <= {max_boxes} boxes)")
-    neg2 = RationalFunction(-q_int(2))
-    half = Fraction(1, 2)
     for n in range(2, max_boxes + 1):
         for shape in oracles.partitions_of(n):
-            srep = hecke.SeminormalRep(shape)
-            ident = QMatrix.identity(srep.dimension)
-            us = {i: hecke.u_matrix(srep, i) for i in range(1, n)}
-            ts = {i: hecke.t_matrix(srep, i) for i in range(1, n)}
-            taus = {i: hecke.tau_matrix(srep, i) for i in range(1, n)}
-            for i in range(1, n):
-                rep.ok(us[i] * us[i] == us[i].scale(neg2), f"{shape}: u_{i}^2 != -[2]u_{i}")
-                rep.ok(taus[i] * taus[i] == ident, f"{shape}: tau_{i}^2 != 1")
-                rep.ok(
-                    taus[i] == hecke.jm_matrix(srep, i - 1, half) * ts[i] * hecke.jm_matrix(srep, i, -half),
-                    f"{shape}: tau_{i} != J^(1/2) t J^(-1/2)",
-                )
-                rep.ok(
-                    ts[i] * hecke.t_matrix(srep, i, inverse=True) == ident,
-                    f"{shape}: t_{i} t_{i}^-1 != 1",
-                )
-            for i in range(1, n - 1):
-                rep.ok(
-                    us[i] * us[i + 1] * us[i] - us[i] == us[i + 1] * us[i] * us[i + 1] - us[i + 1],
-                    f"{shape}: modified braid fails at {i}",
-                )
-                rep.ok(ts[i] * ts[i + 1] * ts[i] == ts[i + 1] * ts[i] * ts[i + 1], f"{shape}: braid fails at {i}")
-            for i in range(1, n):
-                for j in range(i + 2, n):
-                    rep.ok(us[i] * us[j] == us[j] * us[i], f"{shape}: u_{i} u_{j} do not commute")
-            jms = {i: hecke.jm_matrix(srep, i) for i in range(n)}
-            for i in range(n):
-                rep.ok(jms[i] == hecke.jm_word_product(srep, i), f"{shape}: J_{i} word product mismatch")
-                for j in range(n):
-                    rep.ok(jms[i] * jms[j] == jms[j] * jms[i], f"{shape}: J_{i} J_{j} do not commute")
-            # off-block entries vanish: u_i couples only T and its i-swap
-            for i in range(1, n):
-                for a in range(srep.dimension):
-                    for b in range(srep.dimension):
-                        if a != b and srep.swap(b, i) != a:
-                            rep.ok(us[i][a, b].is_zero(), f"{shape}: u_{i} couples non-swap pair")
-            sig = hecke.sigma_vv(srep)
-            rep.ok(sig == taus[1], f"{shape}: sigma_VV != tau_1")
-            rep.ok(sig * sig == ident, f"{shape}: sigma_VV not involutive")
-            rep.ok(
-                ts[1] * hecke.t_squared_inverse_sqrt(srep) == sig,
-                f"{shape}: t (t^2)^(-1/2) != sigma_VV",
-            )
+            check_hecke_shape(shape, rep)
     # the 2x2 conjugation identity, as a pure q-identity for a <= 6
     for a in range(2, 7):
         tau_block = _formula_block(a, tau_diag=True)
@@ -256,31 +255,15 @@ def check_hecke_cactus(r_max: int = 4, max_boxes: int = 4, bk_r: int = 5) -> Sui
             if sum(shape) > max_boxes:
                 continue
             srep = hecke.SeminormalRep(shape)
-            ident = QMatrix.identity(srep.dimension)
             for kind, params in cact.admissible_pairs(r):
-                if kind == "involution":
-                    p, q = params
-                    w = CactusWord(r, (CactusGen(p, q), CactusGen(p, q)))
-                    rep.ok(hecke.cactus_matrix(w, srep) == ident, f"{shape}: s({p},{q})^2 != 1")
-                elif kind == "disjoint":
-                    p, q, k, l = params
-                    lhs = hecke.cactus_matrix(CactusWord(r, (CactusGen(p, q), CactusGen(k, l))), srep)
-                    rhs = hecke.cactus_matrix(CactusWord(r, (CactusGen(k, l), CactusGen(p, q))), srep)
-                    rep.ok(lhs == rhs, f"{shape}: disjoint {params} fails")
-                else:
-                    p, q, k, l = params
-                    lhs = hecke.cactus_matrix(CactusWord(r, (CactusGen(p, q), CactusGen(k, l))), srep)
-                    rhs = hecke.cactus_matrix(
-                        CactusWord(r, (CactusGen(p + q - l, p + q - k), CactusGen(p, q))), srep
-                    )
-                    rep.ok(lhs == rhs, f"{shape}: nested {params} fails")
+                lhs, rhs = cact.relation_words(kind, params, r)
+                rep.ok(hecke.cactus_matrix(lhs, srep) == hecke.cactus_matrix(rhs, srep),
+                       f"{shape}: {kind} {params} fails")
     # (tau_i q_{k-1} q_{k-j} q_{k-1})^2 = 1, admissible triples at r = bk_r
-    triples = [(i, j, k) for i in range(1, bk_r) for j in range(i + 2, bk_r) for k in range(j + 1, bk_r + 1)]
     for shape in oracles.partitions_of(bk_r):
         srep = hecke.SeminormalRep(shape)
         ident = QMatrix.identity(srep.dimension)
-        for i, j, k in triples:
-            seq = cact.q_element(k - 1) + cact.q_element(k - j) + cact.q_element(k - 1) + (i,)
+        for (i, j, k), seq in cact.tau_relators(bk_r):
             m = hecke.tau_word_matrix(seq, srep)
             rep.ok(m * m == ident, f"{shape}: (tau_{i} q_{k-1} q_{k-j} q_{k-1})^2 != 1")
     return rep
@@ -582,35 +565,6 @@ def check_weights(seed: int = 0) -> SuiteReport:
                     break
             else:
                 rep.ok(True, "")
-    return rep
-
-
-def check_hecke_single(shape: Sequence[int]) -> SuiteReport:
-    """The full identity battery for one shape (drives `hecke check`)."""
-    rep = SuiteReport(f"hecke identities for shape {tuple(shape)}")
-    n = sum(shape)
-    srep = hecke.SeminormalRep(shape)
-    ident = QMatrix.identity(srep.dimension)
-    neg2 = RationalFunction(-q_int(2))
-    half = Fraction(1, 2)
-    for i in range(1, n):
-        u = hecke.u_matrix(srep, i)
-        t = hecke.t_matrix(srep, i)
-        tau = hecke.tau_matrix(srep, i)
-        rep.ok(u * u == u.scale(neg2), f"u_{i}^2 != -[2] u_{i}")
-        rep.ok(tau * tau == ident, f"tau_{i}^2 != 1")
-        rep.ok(t * hecke.t_matrix(srep, i, inverse=True) == ident, f"t_{i} not invertible")
-        rep.ok(
-            tau == hecke.jm_matrix(srep, i - 1, half) * t * hecke.jm_matrix(srep, i, -half),
-            f"tau_{i} != J^(1/2) t J^(-1/2)",
-        )
-    for i in range(1, n - 1):
-        u1, u2 = hecke.u_matrix(srep, i), hecke.u_matrix(srep, i + 1)
-        rep.ok(u1 * u2 * u1 - u1 == u2 * u1 * u2 - u2, f"modified braid fails at {i}")
-    for i in range(n):
-        rep.ok(hecke.jm_matrix(srep, i) == hecke.jm_word_product(srep, i), f"J_{i} word product mismatch")
-    if n >= 2:
-        rep.ok(hecke.sigma_vv(srep) == hecke.tau_matrix(srep, 1), "sigma_VV != tau_1")
     return rep
 
 

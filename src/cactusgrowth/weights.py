@@ -31,10 +31,6 @@ class ContextMismatch(ValueError):
     """Two weights or crystals from different Cartan contexts were combined."""
 
 
-class NotDominant(ValueError):
-    """A weight that must be dominant is not."""
-
-
 @dataclass(frozen=True)
 class CartanContext:
     family: str
@@ -236,21 +232,3 @@ def strip_check(inner: Partition, outer: Partition, kind: str) -> bool:
         return all(outer.part(i + 1) <= inner.part(i) for i in range(rows))
     return all(outer.part(i) - inner.part(i) <= 1 for i in range(rows))
 
-
-def partition_of_weight(w: Weight) -> Partition:
-    """Read a dominant nonnegative weight as a partition; guards corrupt input."""
-    if not is_dominant(w) or any(c < 0 for c in w.coords):
-        raise NotDominant(f"{w.coords} is not a partition-shaped weight")
-    return Partition(w.coords)
-
-
-# -- JSON forms --------------------------------------------------------------
-
-
-def weight_to_json(w: Weight) -> dict:
-    return {"family": w.context.family, "rank": w.context.rank, "coords": list(w.coords)}
-
-
-def weight_from_json(obj: dict) -> Weight:
-    ctx = CartanContext(obj["family"], int(obj["rank"]))
-    return Weight(ctx, tuple(int(c) for c in obj["coords"]))

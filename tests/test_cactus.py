@@ -12,11 +12,11 @@ from cactusgrowth.cactus import (
     q_element,
     reduce_to_s1q,
     relation_check,
+    relation_words,
     s_to_tau,
+    tau_relators,
     tau_to_s,
     word,
-    word_from_json,
-    word_to_json,
 )
 
 
@@ -74,6 +74,24 @@ def test_relation_check_nested():
         relation_check("nested", (2, 4, 1, 3), 6, _perm_action, tuple(range(1, 7)))
 
 
+def test_relation_words():
+    assert relation_words("nested", (1, 6, 2, 3), 6) == (word(6, (1, 6), (2, 3)), word(6, (4, 5), (1, 6)))
+    assert relation_words("disjoint", (1, 2, 4, 5), 5) == (word(5, (1, 2), (4, 5)), word(5, (4, 5), (1, 2)))
+    assert relation_words("involution", (2, 4), 5) == (word(5, (2, 4), (2, 4)), word(5))
+    with pytest.raises(BadParams):
+        relation_words("braid", (1, 2), 5)
+
+
+def test_tau_relators_are_the_third_tau_relation():
+    # the (i, j, k) triples and tau words the suites used to build by hand
+    r = 5
+    triples = [(i, j, k) for i in range(1, r) for j in range(i + 2, r) for k in range(j + 1, r + 1)]
+    assert [t for t, _ in tau_relators(r)] == triples == [(1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 4, 5)]
+    for (i, j, k), seq in tau_relators(r):
+        assert seq == q_element(k - 1) + q_element(k - j) + q_element(k - 1) + (i,)
+    assert tau_relators(3) == []
+
+
 def test_perm_image_respects_all_relations():
     for r in range(2, 8):
         x = tuple(range(1, r + 1))
@@ -129,11 +147,6 @@ def test_parse_and_render():
         parse_cactus_word("s(3,2)", 4)
     with pytest.raises(ValueError):
         parse_cactus_word("s(1,9)", 4)
-
-
-def test_json_round_trip():
-    w = word(5, (1, 4), (2, 3))
-    assert word_from_json(word_to_json(w), 5) == w
 
 
 def test_gen_bounds():

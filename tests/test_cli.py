@@ -130,10 +130,22 @@ def test_oracle_subcommands(capsys):
 
 def test_hecke_check_and_matrix(capsys):
     code, out, _ = run(capsys, "hecke", "check", "--shape", "2,1")
-    assert code == 0 and "ok" in out
+    assert code == 0 and out.splitlines() == ["hecke identities for shape (2, 1): 27 checks, ok"]
+    code, out, _ = run(capsys, "hecke", "check", "--shape", "1")
+    assert code == 0 and out.endswith("checks, ok\n")
     code, out, _ = run(capsys, "hecke", "matrix", "--shape", "2,1", "--op", "tau", "--i", "2")
     assert code == 0
     assert "basis: 12/3 13/2" in out
+
+
+def test_hecke_error_exit_codes(capsys):
+    # a domain error is a ValueError too, but exits 3, not 2
+    code, out, err = run(capsys, "hecke", "matrix", "--shape", "3,2", "--op", "tau", "--i", "7")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["domain error: generator index 7 out of range for r=5"]
+    code, out, err = run(capsys, "hecke", "matrix", "--shape", "3,x")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("parse error: ")
 
 
 def test_hecke_shape_over_the_size_cap(capsys):
@@ -175,7 +187,7 @@ def test_verify_all_tiny_smoke(capsys):
     code, out, _ = run(capsys, "verify", "all", "--tiny")
     assert code == 0
     summary = json.loads(out.strip().splitlines()[-1])
-    assert summary["failures"] == 0
+    assert summary == {"suites": 10, "checks": 6226, "failures": 0}
     assert time.time() - t0 < 30.0
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cactusgrowth.cactus import CactusGen, CactusWord
+from cactusgrowth.cactus import CactusGen, CactusWord, admissible_pairs, relation_words, s_to_tau
 from cactusgrowth.hecke import (
     ContentData,
     IndexOutOfRange,
@@ -15,6 +15,7 @@ from cactusgrowth.hecke import (
     t_squared_inverse_sqrt,
     tau_matrix,
     tau_via_jm,
+    tau_word_matrix,
     u_matrix,
 )
 from cactusgrowth.oracles import enumerate_syt, partitions_of, syt_from_string
@@ -201,6 +202,40 @@ def test_cactus_matrix_relations():
                 a = cactus_matrix(CactusWord(n, (CactusGen(p, q), CactusGen(k, l))), rep)
                 b = cactus_matrix(CactusWord(n, (CactusGen(p + q - l, p + q - k), CactusGen(p, q))), rep)
                 assert a == b
+
+
+def _grouped_product(w, rep):
+    # per generator, the product of tau_matrix over its tau word; then the
+    # product over generators, rightmost acting first
+    out = QMatrix.identity(rep.dimension)
+    for g in w.gens:
+        mat = QMatrix.identity(rep.dimension)
+        for i in s_to_tau(g):
+            mat = mat * tau_matrix(rep, i)
+        out = out * mat
+    return out
+
+
+def test_cactus_matrix_equals_grouped_generator_products():
+    for n in range(1, 5):
+        cases = set()
+        for kind, params in admissible_pairs(n):
+            lhs, rhs = relation_words(kind, params, n)
+            cases.update((CactusWord(n, lhs.gens[:1]), lhs, rhs))
+        for shape in partitions_of(n):
+            rep = SeminormalRep(shape)
+            for w in cases:
+                assert cactus_matrix(w, rep) == _grouped_product(w, rep), (shape, str(w))
+
+
+def test_tau_word_matrix_with_repeated_indices():
+    rep = SeminormalRep((3, 2))
+    seq = (1, 2, 1, 3, 2, 1, 4, 3, 1, 2)
+    uncached = QMatrix.identity(rep.dimension)
+    for i in seq:
+        uncached = uncached * tau_matrix(rep, i)
+    assert tau_word_matrix(seq, rep) == uncached
+    assert tau_word_matrix((), rep) == QMatrix.identity(rep.dimension)
 
 
 def test_conjugation_identity():

@@ -9,11 +9,7 @@ from cactusgrowth.weights import (
     conjugate,
     dom_w,
     is_dominant,
-    partition_of_weight,
-    NotDominant,
     strip_check,
-    weight_from_json,
-    weight_to_json,
     weyl_orbit,
 )
 
@@ -98,22 +94,9 @@ def test_partition_trailing_zeros():
         Partition([1, 2])
 
 
-def test_partition_of_weight_guard():
-    with pytest.raises(NotDominant):
-        partition_of_weight(GL3.weight([1, 2, 0]))
-    with pytest.raises(NotDominant):
-        partition_of_weight(GL3.weight([1, 0, -1]))
-    assert partition_of_weight(GL3.weight([2, 1, 0])).parts == (2, 1)
-
-
 def test_simple_roots():
     assert GL3.simple_root(1) == (1, -1, 0)
     assert SP4.simple_root(2) == (0, 2)
     assert SL2.simple_root(1) == (2,)
     with pytest.raises(ValueError):
         GL3.simple_root(3)
-
-
-def test_weight_json_round_trip():
-    w = SP4.weight([2, -1])
-    assert weight_from_json(weight_to_json(w)) == w
