@@ -148,6 +148,10 @@ def cmd_tau(args) -> int:
 
 def cmd_cylinder(args) -> int:
     w = _read_word(args)
+    cells = args.depth * (w.r + 1)
+    if cells > args.max_size:
+        raise SizeLimit(f"a window of depth {args.depth} on r={w.r} has {cells} cells, "
+                        f"over the cap of {args.max_size}")
     win = growth.build_cylinder(w, args.depth)
     _emit_window(win, args.format)
     return EXIT_OK
@@ -238,7 +242,10 @@ def cmd_oracle(args) -> int:
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    shape = tuple(int(p) for p in text.split(",") if p.strip())
+    if not any(shape):
+        raise ValueError(f"shape {text!r} has no positive part")
+    return shape
 
 
 def cmd_hecke(args) -> int:
@@ -435,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "ascii"), default="json")
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized property sampling")
     ap.add_argument("--max-size", type=int, default=10**6, dest="max_size",
-                    help="element cap for materialized crystals and Hecke bases")
+                    help="element cap for materialized crystals, Hecke bases and cylindrical windows")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("act", help="apply a cactus word to a highest weight word")
@@ -502,9 +509,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built by the first call to main and reused by every later one; parse_args
+# fills a fresh Namespace each time, so no value carries over between calls.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
     except SystemExit:  # --help; argument errors raise UsageError instead
         return EXIT_OK

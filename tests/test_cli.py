@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cactusgrowth.cli import main
+import cactusgrowth.cli as cli
+from cactusgrowth.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -47,11 +48,12 @@ def test_act_requires_one_source(capsys):
 
 
 def test_argparse_error_is_one_line(capsys):
-    code, out, err = run(capsys, "act")
-    assert code == 2
-    assert out == "" and err.splitlines() == ["usage error: the following arguments are required: --word"]
-    code, out, _ = run(capsys, "--help")
-    assert code == 0 and out.startswith("usage: cactusgrowth")
+    for _ in range(2):  # the second round parses with the parser main kept
+        code, out, err = run(capsys, "act")
+        assert code == 2
+        assert out == "" and err.splitlines() == ["usage error: the following arguments are required: --word"]
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: cactusgrowth")
 
 
 def test_evacuate_and_promote_json(capsys, tmp_path):
@@ -171,6 +173,74 @@ def test_hecke_shape_that_is_not_a_partition(capsys):
     for shape in ("1,2", "-1"):
         code, out, err = run(capsys, "hecke", "matrix", "--shape", shape)
         assert code == 2 and out == "" and len(err.splitlines()) == 1
+    # a shape with no positive part has nothing to check: refused, not a pass
+    for shape in ("", "0", ",", "0,0"):
+        for sub in ("check", "matrix"):
+            code, out, err = run(capsys, "hecke", sub, "--shape", shape)
+            assert code == 2 and out == ""
+            assert err.splitlines() == [f"parse error: shape {shape!r} has no positive part"]
+
+
+def test_cylinder_depth_over_the_size_cap(capsys):
+    word = '{"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], [1, 0], [2, 0], [2, 1], [2, 2]]}'
+    # depth 2 on r = 4 is 2 rows of 5 corners: 10 cells, at the cap
+    code, out, _ = run(capsys, "--max-size", "10", "cylinder", "--depth", "2", "--json", word)
+    assert code == 0 and len(json.loads(out)["rows"]) == 2
+    code, out, err = run(capsys, "--max-size", "10", "cylinder", "--depth", "3", "--json", word)
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["domain error: a window of depth 3 on r=4 has 15 cells, over the cap of 10"]
+    # refused before any row is built
+    code, _, err = run(capsys, "cylinder", "--depth", str(10**9), "--json", word)
+    assert code == 3 and len(err.splitlines()) == 1
+
+
+# Global options and subcommand defaults alternate, so a value left over from
+# one request would show in the next.
+ALTERNATING_ARGV = [
+    ["--format", "ascii", "act", "--word", "s(1,6)", "--demo", "fig-cat-C"],
+    ["act", "--word", "s(1,6)", "--demo", "fig-cat-C"],
+    ["--max-size", "4", "hecke", "matrix", "--shape", "2,1"],
+    ["hecke", "matrix", "--shape", "2,1"],
+    ["hecke", "matrix", "--shape", "2,1", "--op", "u", "--i", "2"],
+    ["hecke", "matrix", "--shape", "2,1"],
+    ["verify", "cactus", "--tiny", "--r", "3"],
+    ["verify", "cactus", "--tiny"],
+]
+
+
+def test_reused_parser_parses_like_a_fresh_one(capsys, monkeypatch):
+    main(["act"])  # builds main's parser
+    capsys.readouterr()
+    parser = cli._PARSER
+    real = parser.parse_args
+    seen = []
+
+    def recording(*a, **kw):
+        ns = real(*a, **kw)
+        seen.append(dict(vars(ns)))
+        return ns
+
+    monkeypatch.setattr(parser, "parse_args", recording)
+    for argv in ALTERNATING_ARGV:
+        main(list(argv))
+    capsys.readouterr()
+    assert seen == [vars(build_parser().parse_args(argv)) for argv in ALTERNATING_ARGV]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in ALTERNATING_ARGV[:4] + [["act"], ["--help"]]:
+        main(list(argv))
+    capsys.readouterr()
+    assert len(builds) == 1
 
 
 def test_verify_tiny(capsys):

@@ -155,3 +155,42 @@ def test_tau_block_squares_to_identity():
         coeff = RationalFunction(q_int(a - 1) * q_int(a + 1), q_int(a) * q_int(a))
         block = QMatrix([[inv_a, coeff], [RationalFunction.one(), -inv_a]])
         assert matmul(block, block) == QMatrix.identity(2)
+
+
+def test_canonical_form_agrees_with_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def small_poly(rng):
+        return LaurentPoly({rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(rng.randint(0, 4))})
+
+    def nonzero_poly(rng):
+        p = LaurentPoly.zero()
+        while p.is_zero():
+            p = small_poly(rng)
+        return p
+
+    def poly(p, shift=12):
+        # q^shift p as a sympy polynomial; a shared power of q leaves a ratio alone
+        return sympy.Poly.from_dict({(e + shift,): c for e, c in p.items()}, q, domain="ZZ")
+
+    def cancels_to_zero(a, b, c, d):
+        # a/b - c/d through sympy's cancel
+        num, _ = (a * d - c * b).cancel(b * d, include=True)
+        return num.is_zero
+
+    rng = random.Random(2017)
+    for k in range(300):
+        a, b = small_poly(rng), nonzero_poly(rng)
+        if k % 2:  # the same function written another way
+            m = nonzero_poly(rng)
+            c, d = a * m, b * m
+        else:
+            c, d = small_poly(rng), nonzero_poly(rng)
+        x, y = RationalFunction(a, b), RationalFunction(c, d)
+        assert (x == y) == cancels_to_zero(poly(a), poly(b), poly(c), poly(d)), (a, b, c, d)
+        assert cancels_to_zero(poly(x.num), poly(x.den), poly(a), poly(b))
+        if x.is_zero():
+            assert x.den == LaurentPoly.one()
+        else:
+            assert poly(x.num, -x.num.valuation()).gcd(poly(x.den, 0)).is_one
