@@ -157,13 +157,21 @@ def cmd_cylinder(args) -> int:
     return EXIT_OK
 
 
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(type(v) is int for v in x)
+
+
 def cmd_validate(args) -> int:
     with open(args.input) as fh:
         payload = json.load(fh)
     if "rows" in payload:
+        rows = payload["rows"]
+        if not (isinstance(rows, list) and rows
+                and all(isinstance(row, list) and all(_is_int_list(c) for c in row) for row in rows)):
+            raise ValueError("window rows must be a non-empty list of rows of int corners")
         ctx = CartanContext(payload["context"]["family"], int(payload["context"]["rank"]))
-        top = words.word_from_corners(ctx, payload["rows"][0])
-        win = growth.CylWindow(ctx, top.steps, tuple(tuple(tuple(c) for c in row) for row in payload["rows"]))
+        top = words.word_from_corners(ctx, rows[0])
+        win = growth.CylWindow(ctx, top.steps, tuple(tuple(tuple(c) for c in row) for row in rows))
         ok = growth.validate_window(win)
     else:
         try:
@@ -202,11 +210,19 @@ def cmd_crystal(args) -> int:
     return EXIT_OK
 
 
+def _tableau_json(text: str) -> list[list[int]]:
+    """Tableau rows from JSON, which must be a list of lists of ints."""
+    rows = json.loads(text)
+    if not (isinstance(rows, list) and all(_is_int_list(row) for row in rows)):
+        raise ValueError("tableau JSON must be a list of lists of ints")
+    return rows
+
+
 def _read_tableau(args) -> oracles.StandardTableau:
     if args.tableau:
         return oracles.syt_from_string(args.tableau)
     if args.json:
-        return oracles.StandardTableau(json.loads(args.json))
+        return oracles.StandardTableau(_tableau_json(args.json))
     raise UsageError("provide --tableau or --json")
 
 
@@ -226,7 +242,7 @@ def cmd_oracle(args) -> int:
         return EXIT_OK
     if op == "bk":
         if args.json:
-            t = oracles.SemistandardTableau(json.loads(args.json))
+            t = oracles.SemistandardTableau(_tableau_json(args.json))
         elif args.tableau:
             t = oracles.SemistandardTableau(
                 tuple(tuple(int(ch) for ch in part) for part in args.tableau.split("/"))
@@ -296,6 +312,9 @@ _SUITE_BOUNDS: dict[str, tuple[dict, dict]] = {
 
 
 def cmd_verify(args) -> int:
+    for flag, bound in (("--r", args.r), ("--maxsize", args.maxsize)):
+        if bound is not None and bound < 2:
+            raise UsageError(f"{flag} must be at least 2, got {bound}")
     names = list(suites.ALL_SUITES) if args.suite == "all" else [args.suite]
     overrides = {"seed": args.seed}
     if not args.tiny:

@@ -21,7 +21,6 @@ J_i = (t_i ... t_1)(t_1 ... t_i) is diagonal with entries q^(2 c(i+1)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
@@ -32,21 +31,6 @@ from .qalgebra import LaurentPoly, QMatrix, RationalFunction, q_int
 
 class IndexOutOfRange(ValueError):
     """Generator index outside 1..r-1 for the representation."""
-
-
-@dataclass(frozen=True)
-class ContentData:
-    """Content vector c(1..r) and axial distances of a standard tableau."""
-
-    tableau: StandardTableau
-    contents: tuple[int, ...]
-
-    @staticmethod
-    def of(t: StandardTableau) -> "ContentData":
-        return ContentData(t, tuple(t.content(k) for k in range(1, t.n + 1)))
-
-    def axial(self, i: int) -> int:
-        return self.contents[i] - self.contents[i - 1]
 
 
 class SeminormalRep:
@@ -60,7 +44,7 @@ class SeminormalRep:
         )
         self.dimension = len(self.basis)
         self._index = {t.rows: k for k, t in enumerate(self.basis)}
-        self._contents = [ContentData.of(t) for t in self.basis]
+        self._contents = tuple(tuple(t.content(e) for e in range(1, self.r + 1)) for t in self.basis)
 
     def index(self, t: StandardTableau) -> int:
         return self._index[t.rows]
@@ -76,10 +60,12 @@ class SeminormalRep:
             return None
 
     def content(self, k: int, entry: int) -> int:
-        return self._contents[k].contents[entry - 1]
+        """c(entry) = column - row of entry in basis tableau k."""
+        return self._contents[k][entry - 1]
 
     def axial(self, k: int, i: int) -> int:
-        return self._contents[k].axial(i)
+        """The signed axial distance c(i+1) - c(i) in basis tableau k."""
+        return self._contents[k][i] - self._contents[k][i - 1]
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.r - 1:
@@ -137,13 +123,8 @@ def jm_matrix(rep: SeminormalRep, i: int, power: Union[int, Fraction] = 1) -> QM
         raise ValueError(f"unsupported power {power}")
     if not 0 <= i <= rep.r - 1:
         raise IndexOutOfRange(f"Jucys-Murphy index {i} out of range for r={rep.r}")
-    diag = []
-    for k in range(rep.dimension):
-        exponent = Fraction(2 * rep.content(k, i + 1)) * power
-        if exponent.denominator != 1:
-            raise ValueError("half powers need even content doubling")
-        diag.append(RationalFunction.q_power(int(exponent)))
-    return QMatrix.diagonal(diag)
+    return QMatrix.diagonal(RationalFunction.q_power(int(2 * rep.content(k, i + 1) * power))
+                            for k in range(rep.dimension))
 
 
 def jm_word_product(rep: SeminormalRep, i: int) -> QMatrix:

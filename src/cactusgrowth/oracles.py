@@ -250,14 +250,9 @@ class SemistandardTableau:
 
 def gt_pattern(t: SemistandardTableau, length: int) -> list[Partition]:
     """The Gelfand-Tsetlin pattern: shapes of the entries <= k, k = 0..length.
-    Successive shapes differ by horizontal strips."""
-    seq = []
-    for k in range(length + 1):
-        seq.append(Partition(tuple(sum(1 for v in row if v <= k) for row in t.rows)))
-    for k in range(length):
-        if not strip_check(seq[k], seq[k + 1], "horizontal"):
-            raise StripViolation(f"step {k} of the pattern is not a horizontal strip")
-    return seq
+    Successive shapes differ by horizontal strips, because the constructor
+    of t makes each value set one."""
+    return [Partition(tuple(sum(1 for v in row if v <= k) for row in t.rows)) for k in range(length + 1)]
 
 
 def tableau_from_gt(seq: Sequence[Partition]) -> SemistandardTableau:
@@ -265,6 +260,12 @@ def tableau_from_gt(seq: Sequence[Partition]) -> SemistandardTableau:
     for k in range(len(seq) - 1):
         if not strip_check(seq[k], seq[k + 1], "horizontal"):
             raise StripViolation(f"step {k} is not a horizontal strip")
+    return _fill_strips(seq)
+
+
+def _fill_strips(seq: Sequence[Partition]) -> SemistandardTableau:
+    """The tableau whose entries k fill seq[k] / seq[k-1]; the caller has
+    checked that each step is a horizontal strip."""
     final = seq[-1]
     rows = [[0] * final.part(i) for i in range(final.length())]
     for k in range(1, len(seq)):
@@ -282,10 +283,12 @@ def dual_sequence(t: SemistandardTableau, length: int) -> list[Partition]:
 
 
 def tableau_from_dual_sequence(seq: Sequence[Partition]) -> SemistandardTableau:
+    """Inverse of dual_sequence; the vertical strips of seq are the
+    horizontal strips of its conjugates, so they are checked once, here."""
     for k in range(len(seq) - 1):
         if not strip_check(seq[k], seq[k + 1], "vertical"):
             raise StripViolation(f"step {k} is not a vertical strip")
-    return tableau_from_gt([conjugate(p) for p in seq])
+    return _fill_strips([conjugate(p) for p in seq])
 
 
 def bender_knuth(t: SemistandardTableau, i: int) -> SemistandardTableau:

@@ -7,6 +7,11 @@ integer Laurent numerator over a genuine polynomial denominator with
 nonzero constant term, reduced and sign-normalized, so equality is exact
 and structural.
 
+Every computation stays in Z[q]: reduction divides numerator and
+denominator by their primitive gcd using integer long division, which is
+exact by Gauss's lemma, and then by the integer content they share.  No
+rational coefficient is ever formed.
+
 >>> q_int(2)
 LaurentPoly('q + q^-1')
 >>> (q_int(4) * q_int(4) - q_int(3) * q_int(5)) == LaurentPoly.one()
@@ -82,14 +87,7 @@ class LaurentPoly:
 
     def content(self) -> int:
         """gcd of the integer coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self._c.values():
-            g = gcd(g, abs(c))
-        return g
-
-    def bar(self) -> "LaurentPoly":
-        """The involution q -> q^-1."""
-        return LaurentPoly({-e: c for e, c in self._c.items()})
+        return gcd(*self._c.values())
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self._c)
@@ -158,7 +156,7 @@ def q_int(n: int) -> LaurentPoly:
     return LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)})
 
 
-# -- dense integer polynomial helpers (used for gcd computations) ----------
+# -- dense integer polynomial helpers (gcd and exact division in Z[q]) -----
 #
 # A dense polynomial is a list of int coefficients low-to-high with a
 # nonzero last entry; [] is zero.
@@ -184,12 +182,8 @@ def _dense_trim(f: list[int]) -> list[int]:
 
 
 def _dense_primitive(f: list[int]) -> list[int]:
-    g = 0
-    for c in f:
-        g = gcd(g, abs(c))
-    if g <= 1:
-        f = list(f)
-    else:
+    g = gcd(*f)
+    if g > 1:
         f = [c // g for c in f]
     if f and f[-1] < 0:
         f = [-c for c in f]
@@ -222,35 +216,29 @@ def _dense_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _dense_exact_div(a: list[int], b: list[int]) -> list[int]:
-    """Exact division a / b in Q[q]; raises if not exact.  Result is integral
-    whenever b is primitive and divides an integral a (Gauss's lemma)."""
+    """Exact division a / b in Z[q], by long division in integers.
+
+    Raises ValueError when b does not divide a, or when the quotient is not
+    integral: each step divides a leading coefficient by lc(b), and the
+    quotient in Q[q] is unique, so a step that leaves a remainder means the
+    quotient leaves Z[q] or does not exist.  By Gauss's lemma a primitive
+    divisor of an integral a always passes.
+    """
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    from fractions import Fraction
-
-    r = [Fraction(c) for c in a]
-    quot = [Fraction(0)] * (max(len(a) - len(b) + 1, 0))
-    db = len(b) - 1
-    lb = Fraction(b[-1])
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        dr = len(r) - 1
-        c = r[-1] / lb
-        quot[dr - db] = c
-        for i in range(db + 1):
-            r[dr - db + i] -= c * b[i]
-        r.pop()
-    if any(r):
-        raise ValueError("inexact polynomial division")
-    out = []
-    for c in quot:
-        if c.denominator != 1:
-            raise ValueError("inexact polynomial division (non-integer quotient)")
-        out.append(int(c))
-    return _dense_trim(out)
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    quot = [0] * max(len(r) - db, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c, rem = divmod(r[k + db], lb)
+        if rem:
+            raise ValueError("polynomial division is inexact in Z[q]")
+        quot[k] = c
+        for i in range(db):
+            r[k + i] -= c * b[i]
+    if any(r[:db]):
+        raise ValueError("polynomial division is inexact in Z[q]")
+    return _dense_trim(quot)
 
 
 class RationalFunction:
@@ -352,13 +340,7 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laur
     if len(g) > 1 or (g and g[0] != 1):
         fn = _dense_exact_div(fn, g)
         fd = _dense_exact_div(fd, g)
-    cn = 0
-    for c in fn:
-        cn = gcd(cn, abs(c))
-    cd = 0
-    for c in fd:
-        cd = gcd(cd, abs(c))
-    cg = gcd(cn, cd)
+    cg = gcd(*fn, *fd)
     if cg > 1:
         fn = [c // cg for c in fn]
         fd = [c // cg for c in fd]
@@ -423,9 +405,6 @@ class QMatrix:
 
     def __hash__(self) -> int:
         return hash(self.entries)
-
-    def is_identity(self) -> bool:
-        return self == QMatrix.identity(self.rows) if self.rows == self.cols else False
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"

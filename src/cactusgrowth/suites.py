@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import cactus as cact
@@ -167,7 +166,6 @@ def check_hecke_shape(shape: Sequence[int], rep: SuiteReport | None = None) -> S
         rep = SuiteReport(f"hecke identities for shape {shape}")
     n = sum(shape)
     neg2 = RationalFunction(-q_int(2))
-    half = Fraction(1, 2)
     srep = hecke.SeminormalRep(shape)
     ident = QMatrix.identity(srep.dimension)
     us = {i: hecke.u_matrix(srep, i) for i in range(1, n)}
@@ -176,10 +174,7 @@ def check_hecke_shape(shape: Sequence[int], rep: SuiteReport | None = None) -> S
     for i in range(1, n):
         rep.ok(us[i] * us[i] == us[i].scale(neg2), f"{shape}: u_{i}^2 != -[2]u_{i}")
         rep.ok(taus[i] * taus[i] == ident, f"{shape}: tau_{i}^2 != 1")
-        rep.ok(
-            taus[i] == hecke.jm_matrix(srep, i - 1, half) * ts[i] * hecke.jm_matrix(srep, i, -half),
-            f"{shape}: tau_{i} != J^(1/2) t J^(-1/2)",
-        )
+        rep.ok(taus[i] == hecke.tau_via_jm(srep, i), f"{shape}: tau_{i} != J^(1/2) t J^(-1/2)")
         rep.ok(
             ts[i] * hecke.t_matrix(srep, i, inverse=True) == ident,
             f"{shape}: t_{i} t_{i}^-1 != 1",

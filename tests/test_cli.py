@@ -130,6 +130,36 @@ def test_oracle_subcommands(capsys):
     assert code == 0 and json.loads(out) == [[1, 2, 4], [3, 5, 6]]
 
 
+def assert_one_line_exit_2(code, out, err):
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "evacuate", "--json", "[1]"],
+    ["oracle", "bk", "--json", "[1]", "--i", "1"],
+    ["oracle", "evacuate", "--json", "{}"],
+])
+def test_malformed_tableau_json_exit_2(capsys, argv):
+    assert_one_line_exit_2(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("rows", [[], [1], [[1]]])
+def test_malformed_window_rows_exit_2(capsys, tmp_path, rows):
+    f = tmp_path / "win.json"
+    f.write_text(json.dumps({"context": {"family": "GL", "rank": 2}, "steps": [], "rows": rows}))
+    assert_one_line_exit_2(*run(capsys, "validate", "--input", str(f)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cactus", "--r", "1"],
+    ["verify", "hecke", "--maxsize", "-1"],
+    ["verify", "oracle", "--maxsize", "0"],
+])
+def test_verify_refuses_bounds_that_check_nothing(capsys, argv):
+    assert_one_line_exit_2(*run(capsys, *argv))
+
+
 def test_hecke_check_and_matrix(capsys):
     code, out, _ = run(capsys, "hecke", "check", "--shape", "2,1")
     assert code == 0 and out.splitlines() == ["hecke identities for shape (2, 1): 27 checks, ok"]

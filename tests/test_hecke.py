@@ -4,7 +4,6 @@ import pytest
 
 from cactusgrowth.cactus import CactusGen, CactusWord, admissible_pairs, relation_words, s_to_tau
 from cactusgrowth.hecke import (
-    ContentData,
     IndexOutOfRange,
     SeminormalRep,
     cactus_matrix,
@@ -18,7 +17,7 @@ from cactusgrowth.hecke import (
     tau_word_matrix,
     u_matrix,
 )
-from cactusgrowth.oracles import enumerate_syt, partitions_of, syt_from_string
+from cactusgrowth.oracles import partitions_of, syt_from_string
 from cactusgrowth.qalgebra import LaurentPoly, QMatrix, RationalFunction, q_int
 
 ONE = RationalFunction.one()
@@ -31,19 +30,21 @@ def rf(num, den=None):
 
 def test_content_vector_determines_tableau():
     for shape in partitions_of(5):
+        rep = SeminormalRep(shape)
         seen = {}
-        for t in enumerate_syt(shape):
-            cv = ContentData.of(t).contents
+        for k, t in enumerate(rep.basis):
+            cv = tuple(rep.content(k, e) for e in range(1, rep.r + 1))
             assert cv not in seen
             seen[cv] = t
 
 
 def test_content_values():
     t = syt_from_string("124/35")
-    data = ContentData.of(t)
-    assert data.contents == (0, 1, -1, 2, 0)
-    assert data.axial(1) == 1
-    assert data.axial(2) == -2
+    rep = SeminormalRep((3, 2))
+    k = rep.index(t)
+    assert tuple(rep.content(k, e) for e in range(1, 6)) == (0, 1, -1, 2, 0)
+    assert rep.axial(k, 1) == 1
+    assert rep.axial(k, 2) == -2
 
 
 def test_basis_order_row_reading():

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from cactusgrowth.qalgebra import (
+    _dense_exact_div,
     DimensionMismatch,
     DivisionByZero,
     LaurentPoly,
@@ -86,6 +88,64 @@ def _rand_ratfn(rng):
     while den.is_zero():
         den = _rand_poly(rng)
     return RationalFunction(_rand_poly(rng), den)
+
+
+def _fraction_long_division(a, b):
+    """Reference long division in Q[q] on dense lists: (quotient, remainder)."""
+    r = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = r[k + len(b) - 1] / b[-1]
+        quot[k] = c
+        for i, bi in enumerate(b):
+            r[k + i] -= c * bi
+    return quot, r
+
+
+def _dense_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _rand_dense(rng, length, lead):
+    return [rng.randint(-6, 6) for _ in range(length - 1)] + [lead]
+
+
+def test_exact_division_agrees_with_fraction_long_division():
+    rng = random.Random(1997)
+    for _ in range(300):
+        g = _rand_dense(rng, rng.randint(1, 6), rng.choice([-3, -1, 1, 2, 5]))
+        h = _rand_dense(rng, rng.randint(1, 5), rng.choice([-4, -2, 2, 3, 6]))  # never monic
+        a = _dense_mul(g, h)
+        quot, rem = _fraction_long_division(a, h)
+        assert not any(rem) and quot == g
+        assert _dense_exact_div(a, h) == g
+        # a nonzero remainder below deg h: inexact in Q[q]
+        if len(h) > 1:
+            inexact = list(a)
+            inexact[rng.randrange(len(h) - 1)] += rng.choice([-2, -1, 1, 3])
+            assert any(_fraction_long_division(inexact, h)[1])
+            with pytest.raises(ValueError):
+                _dense_exact_div(inexact, h)
+        # exact in Q[q] but the quotient g/2 leaves Z[q]
+        if any(c % 2 for c in g):
+            quot, rem = _fraction_long_division(a, [2 * c for c in h])
+            assert not any(rem) and any(c.denominator != 1 for c in quot)
+            with pytest.raises(ValueError):
+                _dense_exact_div(a, [2 * c for c in h])
+
+
+def test_exact_division_edge_cases():
+    with pytest.raises(ValueError):
+        _dense_exact_div([1, 2], [2])  # (1 + 2q) / 2 is not integral
+    with pytest.raises(ValueError):
+        _dense_exact_div([1], [1, 1])  # a shorter than b, nonzero
+    assert _dense_exact_div([], [3, 1]) == []
+    with pytest.raises(DivisionByZero):
+        _dense_exact_div([1, 2], [])
 
 
 def test_canonicalization_idempotent():
