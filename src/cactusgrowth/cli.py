@@ -164,16 +164,24 @@ def _is_int_list(x) -> bool:
 def cmd_validate(args) -> int:
     with open(args.input) as fh:
         payload = json.load(fh)
+    context = payload.get("context") if isinstance(payload, dict) else None
+    if not (isinstance(context, dict) and isinstance(context.get("family"), str)
+            and type(context.get("rank")) is int):
+        raise ValueError("a window or word must be an object with a context of a string family and an int rank")
     if "rows" in payload:
         rows = payload["rows"]
         if not (isinstance(rows, list) and rows
                 and all(isinstance(row, list) and all(_is_int_list(c) for c in row) for row in rows)):
             raise ValueError("window rows must be a non-empty list of rows of int corners")
-        ctx = CartanContext(payload["context"]["family"], int(payload["context"]["rank"]))
+        ctx = CartanContext(context["family"], context["rank"])
         top = words.word_from_corners(ctx, rows[0])
         win = growth.CylWindow(ctx, top.steps, tuple(tuple(tuple(c) for c in row) for row in rows))
         ok = growth.validate_window(win)
     else:
+        corners, steps = payload.get("corners"), payload.get("steps") or []
+        if not (isinstance(corners, list) and all(_is_int_list(c) for c in corners)
+                and isinstance(steps, list) and all(isinstance(x, str) for x in steps)):
+            raise ValueError("a word's corners must be a list of int corners and its steps a list of strings")
         try:
             words.word_from_json(payload)
             ok = True

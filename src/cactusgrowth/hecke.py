@@ -16,13 +16,16 @@ tau_i^2 = 1):
 with coeff = 1 when a > 0 and [a-1][a+1]/[a]^2 when a < 0, and the swap
 term dropped when the swapped filling is not standard (so u_i acts by 0 on
 an adjacent same-row pair and by -[2] on an adjacent same-column pair).
-t_i = q + u_i, and the multiplicative Jucys-Murphy element
-J_i = (t_i ... t_1)(t_1 ... t_i) is diagonal with entries q^(2 c(i+1)).
+t_i = q + u_i.  Every entry depends on a alone, so each generator is read
+off one table of canonical coefficients per axial distance.  The
+multiplicative Jucys-Murphy element J_i = (t_i ... t_1)(t_1 ... t_i) is
+diagonal with entries q^(2 c(i+1)).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from functools import lru_cache
+from typing import Sequence, Union
 
 from .cactus import CactusWord, s_to_tau
 from .oracles import StandardTableau, enumerate_syt
@@ -44,20 +47,20 @@ class SeminormalRep:
         )
         self.dimension = len(self.basis)
         self._index = {t.rows: k for k, t in enumerate(self.basis)}
-        self._contents = tuple(tuple(t.content(e) for e in range(1, self.r + 1)) for t in self.basis)
+        self._contents = tuple(_content_vector(t.rows, self.r) for t in self.basis)
 
     def index(self, t: StandardTableau) -> int:
         return self._index[t.rows]
 
     def swap(self, k: int, i: int) -> Union[int, None]:
         """Index of the basis tableau with i and i+1 exchanged, or None when
-        that filling is not standard."""
-        t = self.basis[k]
-        rows = tuple(tuple({i: i + 1, i + 1: i}.get(v, v) for v in row) for row in t.rows)
-        try:
-            return self._index[StandardTableau(rows).rows]
-        except ValueError:
+        that filling is not standard.  It is standard exactly when the axial
+        distance is not +-1: a = 1 puts i, i+1 side by side in a row, a = -1
+        one above the other in a column, and a = 0 cannot occur."""
+        if self.axial(k, i) in (1, -1):
             return None
+        exchange = {i: i + 1, i + 1: i}
+        return self._index[tuple(tuple(exchange.get(v, v) for v in row) for row in self.basis[k].rows)]
 
     def content(self, k: int, entry: int) -> int:
         """c(entry) = column - row of entry in basis tableau k."""
@@ -75,44 +78,60 @@ class SeminormalRep:
         return f"SeminormalRep(shape={self.shape}, dim={self.dimension})"
 
 
-def _swap_coeff(a: int) -> RationalFunction:
+def _content_vector(rows: Sequence[Sequence[int]], r: int) -> tuple[int, ...]:
+    """(c(1), ..., c(r)) of a tableau given by its rows, in one pass over its cells."""
+    contents = [0] * r
+    for y, row in enumerate(rows):
+        for x, v in enumerate(row):
+            contents[v - 1] = x - y
+    return tuple(contents)
+
+
+@lru_cache(maxsize=None)
+def _coefficients(a: int) -> dict[str, RationalFunction]:
+    """The canonical entries of every generator at axial distance a: the
+    diagonals of u, tau, t and t^-1 (keyed by their `which`) and the
+    coefficient of the swapped tableau.  |a| < r, so a process holds at most
+    2r of these, shared by every matrix it builds."""
+    u = -RationalFunction(q_int(a - 1), q_int(a))
     if a > 0:
-        return RationalFunction.one()
-    return RationalFunction(q_int(a - 1) * q_int(a + 1), q_int(a) * q_int(a))
+        swap = RationalFunction.one()
+    else:
+        swap = RationalFunction(q_int(a - 1) * q_int(a + 1), q_int(a) * q_int(a))
+    return {"u": u, "tau": RationalFunction(LaurentPoly.one(), q_int(a)),
+            "t": RationalFunction.q_power(1) + u, "t_inv": RationalFunction.q_power(-1) + u, "swap": swap}
 
 
-def _generator(rep: SeminormalRep, i: int,
-               diagonal: Callable[[int], RationalFunction]) -> QMatrix:
-    """A seminormal generator at i: diagonal(a) on T, the swap coefficient
-    on T with i, i+1 exchanged (columns indexed by input tableaux)."""
+def _generator(rep: SeminormalRep, i: int, which: str) -> QMatrix:
+    """A seminormal generator at i: its diagonal coefficient on T, the swap
+    coefficient on T with i, i+1 exchanged (columns indexed by input
+    tableaux), both looked up by the axial distance."""
     rep._check_index(i)
+    d = rep.dimension
     zero = RationalFunction.zero()
-    cols = []
-    for k in range(rep.dimension):
-        a = rep.axial(k, i)
-        col = [zero] * rep.dimension
-        col[k] = diagonal(a)
+    rows = [[zero] * d for _ in range(d)]
+    for k in range(d):
+        coefficients = _coefficients(rep.axial(k, i))
+        rows[k][k] = coefficients[which]
         j = rep.swap(k, i)
         if j is not None:
-            col[j] = _swap_coeff(a)
-        cols.append(col)
-    return QMatrix([[cols[c][r] for c in range(rep.dimension)] for r in range(rep.dimension)])
+            rows[j][k] = coefficients["swap"]
+    return QMatrix(rows)
 
 
 def u_matrix(rep: SeminormalRep, i: int) -> QMatrix:
     """Matrix of the Hecke generator u_i."""
-    return _generator(rep, i, lambda a: -RationalFunction(q_int(a - 1), q_int(a)))
+    return _generator(rep, i, "u")
 
 
 def t_matrix(rep: SeminormalRep, i: int, inverse: bool = False) -> QMatrix:
     """t_i = q + u_i; the inverse is q^-1 + u_i."""
-    scalar = RationalFunction.q_power(-1 if inverse else 1)
-    return u_matrix(rep, i) + QMatrix.identity(rep.dimension).scale(scalar)
+    return _generator(rep, i, "t_inv" if inverse else "t")
 
 
 def tau_matrix(rep: SeminormalRep, i: int) -> QMatrix:
     """The involutive local-rule generator tau_i."""
-    return _generator(rep, i, lambda a: RationalFunction(LaurentPoly.one(), q_int(a)))
+    return _generator(rep, i, "tau")
 
 
 def jm_matrix(rep: SeminormalRep, i: int, power: Union[int, Fraction] = 1) -> QMatrix:

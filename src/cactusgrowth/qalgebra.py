@@ -410,7 +410,10 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
     def pretty(self) -> str:
-        cells = [[str(e) for e in row] for row in self.entries]
+        # each distinct entry object is rendered once; the entries stay alive
+        # in self during the call, so their ids are stable
+        text: dict[int, str] = {}
+        cells = [[text.get(id(e)) or text.setdefault(id(e), str(e)) for e in row] for row in self.entries]
         width = max((len(c) for row in cells for c in row), default=0)
         return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
 

@@ -151,6 +151,21 @@ def test_malformed_window_rows_exit_2(capsys, tmp_path, rows):
     assert_one_line_exit_2(*run(capsys, "validate", "--input", str(f)))
 
 
+@pytest.mark.parametrize("payload", [
+    {"rows": [[[0, 0]]]},
+    5,
+    [],
+    {},
+    {"context": 3, "rows": [[[0, 0]]]},
+    {"context": {"family": "GL", "rank": 2}},
+    {"context": {"family": "GL", "rank": 2}, "corners": [[0, 0]], "steps": 5},
+])
+def test_validate_payload_without_a_context_or_corners_exit_2(capsys, tmp_path, payload):
+    f = tmp_path / "payload.json"
+    f.write_text(json.dumps(payload))
+    assert_one_line_exit_2(*run(capsys, "validate", "--input", str(f)))
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "cactus", "--r", "1"],
     ["verify", "hecke", "--maxsize", "-1"],

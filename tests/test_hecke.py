@@ -6,6 +6,7 @@ from cactusgrowth.cactus import CactusGen, CactusWord, admissible_pairs, relatio
 from cactusgrowth.hecke import (
     IndexOutOfRange,
     SeminormalRep,
+    _coefficients,
     cactus_matrix,
     jm_matrix,
     jm_word_product,
@@ -17,8 +18,8 @@ from cactusgrowth.hecke import (
     tau_word_matrix,
     u_matrix,
 )
-from cactusgrowth.oracles import partitions_of, syt_from_string
-from cactusgrowth.qalgebra import LaurentPoly, QMatrix, RationalFunction, q_int
+from cactusgrowth.oracles import StandardTableau, partitions_of, syt_from_string
+from cactusgrowth.qalgebra import LaurentPoly, QMatrix, RationalFunction, parse_rational, q_int
 
 ONE = RationalFunction.one()
 ZERO = RationalFunction.zero()
@@ -162,6 +163,68 @@ def test_t_squared_inverse_sqrt_is_not_t_inverse():
     assert t_squared_inverse_sqrt(rep) != t_matrix(rep, 1, inverse=True)
     rep2 = SeminormalRep((2, 1))
     assert t_squared_inverse_sqrt(rep2) != t_matrix(rep2, 1, inverse=True)
+
+
+def _swapped_index(rep, t, i):
+    """Index of t with i, i+1 exchanged, or None when the checked
+    constructor refuses that filling."""
+    rows = tuple(tuple({i: i + 1, i + 1: i}.get(v, v) for v in row) for row in t.rows)
+    try:
+        return rep.index(StandardTableau(rows))
+    except ValueError:
+        return None
+
+
+def test_swap_exists_iff_axial_distance_is_not_one():
+    for n in range(1, 9):
+        for shape in partitions_of(n):
+            rep = SeminormalRep(shape)
+            for k, t in enumerate(rep.basis):
+                for i in range(1, n):
+                    assert rep.swap(k, i) == _swapped_index(rep, t, i), (str(t), i)
+
+
+def _reference_generators(rep, i):
+    """u_i, tau_i, t_i and t_i^-1 entry by entry from the formulas in the
+    module docstring, each entry a fresh RationalFunction."""
+    d = rep.dimension
+    u = [[ZERO] * d for _ in range(d)]
+    tau = [[ZERO] * d for _ in range(d)]
+    for k, t in enumerate(rep.basis):
+        a = t.content(i + 1) - t.content(i)
+        u[k][k] = RationalFunction(-q_int(a - 1), q_int(a))
+        tau[k][k] = RationalFunction(LaurentPoly.one(), q_int(a))
+        j = _swapped_index(rep, t, i)
+        if j is not None:
+            for m in (u, tau):
+                m[j][k] = ONE if a > 0 else RationalFunction(q_int(a - 1) * q_int(a + 1), q_int(a) * q_int(a))
+    u, ident = QMatrix(u), QMatrix.identity(d)
+    return {"u": u, "tau": QMatrix(tau),
+            "t": u + ident.scale(RationalFunction.q_power(1)), "t_inv": u + ident.scale(RationalFunction.q_power(-1))}
+
+
+def test_generators_equal_entrywise_reference():
+    for n in range(2, 8):
+        for shape in partitions_of(n):
+            rep = SeminormalRep(shape)
+            for i in range(1, n):
+                ref = _reference_generators(rep, i)
+                got = {"u": u_matrix(rep, i), "tau": tau_matrix(rep, i),
+                       "t": t_matrix(rep, i), "t_inv": t_matrix(rep, i, inverse=True)}
+                for which, m in got.items():
+                    assert m == ref[which], (shape, i, which)
+                    fresh = QMatrix([[parse_rational(str(e)) for e in row] for row in m.entries])
+                    assert m.pretty() == fresh.pretty(), (shape, i, which)
+
+
+def test_coefficient_table_is_bounded_by_shape_size():
+    _coefficients.cache_clear()
+    for n in range(2, 8):
+        for shape in partitions_of(n):
+            rep = SeminormalRep(shape)
+            for i in range(1, n):
+                u_matrix(rep, i), tau_matrix(rep, i), t_matrix(rep, i), t_matrix(rep, i, inverse=True)
+    assert _coefficients.cache_info().currsize <= 2 * 7
 
 
 def test_simultaneous_block_structure():
