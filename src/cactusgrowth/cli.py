@@ -294,7 +294,8 @@ def cmd_hecke(args) -> int:
     elif op == "jm":
         m = hecke.jm_matrix(srep, args.i)
     elif op == "sigma":
-        m = hecke.sigma_vv(srep)
+        m = hecke.sigma_vv(srep)  # always at position 1; --i is still range-checked like every operator's
+        srep._check_index(args.i)
     else:
         raise UsageError(f"unknown operator {op!r}")
     print("basis:", " ".join(str(t) for t in srep.basis))

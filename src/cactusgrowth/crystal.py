@@ -1,15 +1,21 @@
 """Finite normal crystals as explicit labelled graphs.
 
 A crystal is a finite set with partial injective nilpotent raising maps e_i
-and a weight per element; f_i, eps_i and phi_i are derived.  Tensor products
-follow the rule e_i(x (x) y) = e_i(x) (x) y when phi_i(x) >= eps_i(y), else
-x (x) e_i(y).  Constructors cover the minuscule crystals used by the local
-rules: GL(n) exterior powers of the vector representation, the SL2 doublet,
-and the Sp(2n) vector representation.
+and a weight per element; f_i, eps_i and phi_i are derived.  Every crystal
+is validated when it is built, in time linear in its size: e_i must be
+injective, acyclic and raise the weight by the simple root on every edge.
+The same pass walks each maximal i-chain once and stores eps_i and phi_i of
+every element as one list per i, so later queries are lookups.  Tensor
+products follow the rule e_i(x (x) y) = e_i(x) (x) y when phi_i(x) >=
+eps_i(y), else x (x) e_i(y); a product's eps/phi come from its own chains,
+not from the factors.  Constructors cover the minuscule crystals used by
+the local rules: GL(n) exterior powers of the vector representation, the
+SL2 doublet, and the Sp(2n) vector representation.
 """
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add, sub
 from typing import Iterable, Optional
 
 from .weights import GL, SL2, SP, CartanContext, ContextMismatch, Weight, weyl_orbit
@@ -42,34 +48,48 @@ class Crystal:
         self.context = context
         self.labels = tuple(labels)
         self.n = len(self.labels)
-        self.weights = tuple(tuple(w) for w in element_weights)
+        self.weights = tuple(map(tuple, element_weights))
         if len(self.weights) != self.n:
             raise ValueError("weights and labels disagree in length")
-        self.e_maps = {i: dict(e_maps.get(i, {})) for i in context.index_set()}
+        index_set = context.index_set()
+        for i, m in e_maps.items():
+            if i not in index_set:
+                raise ValueError(f"e_{i} is not an operator of {context}")
+            if m and not (0 <= min(m) and max(m) < self.n
+                          and 0 <= min(m.values()) and max(m.values()) < self.n):
+                raise ValueError(f"e_{i} has an element outside 0..{self.n - 1}")
+        self.e_maps = {i: dict(e_maps.get(i, {})) for i in index_set}
         self._f_maps = {i: {y: x for x, y in m.items()} for i, m in self.e_maps.items()}
-        self._validate()
-        self._eps_cache: dict[tuple[int, int], int] = {}
-        self._phi_cache: dict[tuple[int, int], int] = {}
+        self._eps: dict[int, list[int]] = {}
+        self._phi: dict[int, list[int]] = {}
+        for i in index_set:
+            self._eps[i], self._phi[i] = self._chains(i)
+            self._check_edge_weights(i)
 
-    def _validate(self) -> None:
-        for i, m in self.e_maps.items():
-            if len(set(m.values())) != len(m):
-                raise ValueError(f"e_{i} is not injective")
-            for x in m:
-                seen = {x}
-                y = x
-                while y in m:
-                    y = m[y]
-                    if y in seen:
-                        raise CyclicGraph(f"e_{i} has a cycle through element {x}")
-                    seen.add(y)
-            root = self.context.simple_root(i)
-            for x, y in m.items():
-                got = tuple(a - b for a, b in zip(self.weights[y], self.weights[x]))
-                if got != root:
-                    raise ValueError(
-                        f"weight mismatch on e_{i}: wt({self.labels[y]}) - wt({self.labels[x]}) = {got} != {root}"
-                    )
+    def _chains(self, i: int) -> tuple[list[int], list[int]]:
+        """eps_i and phi_i of every element, from one walk down each maximal
+        f_i-chain from its top and one walk up each e_i-chain from its
+        bottom.  e_i must be injective; an e_i edge that no chain covers lies
+        on a cycle."""
+        e, f = self.e_maps[i], self._f_maps[i]
+        if len(f) != len(e):
+            raise ValueError(f"e_{i} is not injective")
+        eps = [0] * self.n
+        phi = [0] * self.n
+        if _number_chains(f, e, eps) + _number_chains(e, f, phi) != 2 * len(e):
+            x = next(x for x in e if eps[x] == 0)
+            raise CyclicGraph(f"e_{i} has a cycle through element {x}")
+        return eps, phi
+
+    def _check_edge_weights(self, i: int) -> None:
+        root = self.context.simple_root(i)
+        wts = self.weights
+        for x, y in self.e_maps[i].items():
+            got = tuple(map(sub, wts[y], wts[x]))
+            if got != root:
+                raise ValueError(
+                    f"weight mismatch on e_{i}: wt({self.labels[y]}) - wt({self.labels[x]}) = {got} != {root}"
+                )
 
     # -- basic queries -------------------------------------------------------
 
@@ -83,30 +103,20 @@ class Crystal:
         return self._f_maps[i].get(x)
 
     def eps(self, i: int, x: int) -> int:
-        key = (i, x)
-        if key not in self._eps_cache:
-            k, y = 0, x
-            while y in self.e_maps[i]:
-                y = self.e_maps[i][y]
-                k += 1
-            self._eps_cache[key] = k
-        return self._eps_cache[key]
+        return self._eps[i][x]
 
     def phi(self, i: int, x: int) -> int:
-        key = (i, x)
-        if key not in self._phi_cache:
-            k, y = 0, x
-            while y in self._f_maps[i]:
-                y = self._f_maps[i][y]
-                k += 1
-            self._phi_cache[key] = k
-        return self._phi_cache[key]
+        return self._phi[i][x]
+
+    def _highest_weight_flags(self) -> list[bool]:
+        """Per element: is eps_i zero for every i."""
+        return [not any(col) for col in zip(*self._eps.values())] if self._eps else [True] * self.n
 
     def is_highest_weight(self, x: int) -> bool:
-        return all(self.eps(i, x) == 0 for i in self.context.index_set())
+        return not any(eps[x] for eps in self._eps.values())
 
     def highest_weight_elements(self) -> list[int]:
-        return [x for x in range(self.n) if self.is_highest_weight(x)]
+        return [x for x, hw in enumerate(self._highest_weight_flags()) if hw]
 
     def rectify(self, x: int) -> int:
         """The highest weight element in the connected component of x,
@@ -150,6 +160,23 @@ class Crystal:
         return f"Crystal({self.context}, n={self.n})"
 
 
+def _number_chains(step: dict[int, int], back: dict[int, int], table: list[int]) -> int:
+    """Walk `step` from each chain end (an element with a `step` image and no
+    `back` image) and write into table each element's distance from its end.
+    Returns the number of edges walked."""
+    walked = 0
+    for end in step:
+        if end in back:
+            continue
+        k, x = 1, step[end]
+        while x is not None:
+            table[x] = k
+            k += 1
+            x = step.get(x)
+        walked += k - 1
+    return walked
+
+
 def tensor(b: Crystal, c: Crystal, size_cap: int = DEFAULT_SIZE_CAP) -> Crystal:
     """Tensor product crystal on the set B x C."""
     if b.context != c.context:
@@ -157,29 +184,34 @@ def tensor(b: Crystal, c: Crystal, size_cap: int = DEFAULT_SIZE_CAP) -> Crystal:
     n = b.n * c.n
     if n > size_cap:
         raise SizeLimit(f"tensor product would have {n} elements (cap {size_cap})")
-    idx = lambda x, y: x * c.n + y
+    cn = c.n
     labels = [f"{lx}(x){ly}" for lx in b.labels for ly in c.labels]
-    wts = [tuple(a + d for a, d in zip(b.weights[x], c.weights[y])) for x in range(b.n) for y in range(c.n)]
+    wts = [tuple(map(add, wx, wy)) for wx in b.weights for wy in c.weights]
     e_maps: dict[int, dict[int, int]] = {}
     for i in b.context.index_set():
+        phi_b, eb = b._phi[i], b.e_maps[i]
+        eps_c, ec = c._eps[i], c.e_maps[i]
         m: dict[int, int] = {}
         for x in range(b.n):
-            for y in range(c.n):
-                if b.phi(i, x) >= c.eps(i, y):
-                    ex = b.e(i, x)
+            px, ex, base = phi_b[x], eb.get(x), x * cn
+            for y in range(cn):
+                if px >= eps_c[y]:
                     if ex is not None:
-                        m[idx(x, y)] = idx(ex, y)
-                else:
-                    ey = c.e(i, y)
-                    if ey is not None:
-                        m[idx(x, y)] = idx(x, ey)
+                        m[base + y] = ex * cn + y
+                else:  # eps_c[y] > 0, so y has an e_i image
+                    m[base + y] = base + ec[y]
         e_maps[i] = m
     return Crystal(b.context, labels, e_maps, wts)
 
 
 def tensor_power(c: Crystal, r: int, size_cap: int = DEFAULT_SIZE_CAP) -> Crystal:
+    """B^(x)r, built one factor at a time.  Refused before any level is built
+    when r or |B|^r exceeds size_cap; the exponent is clipped so that |B|^r
+    is never formed when it is huge."""
     if r < 0:
         raise BadParameter("tensor power needs r >= 0")
+    if r and (r > size_cap or c.n ** min(r, size_cap.bit_length() + 1) > size_cap):
+        raise SizeLimit(f"tensor power {r} of a {c.n}-element crystal is over the cap of {size_cap}")
     out = trivial_crystal(c.context)
     for _ in range(r):
         out = tensor(out, c, size_cap=size_cap)
@@ -197,9 +229,10 @@ def decompose(c: Crystal, r: int, size_cap: int = DEFAULT_SIZE_CAP) -> dict[tupl
     the totals satisfy sum(count * size) == len(c)^r.
     """
     power = tensor_power(c, r, size_cap=size_cap)
+    hw = power._highest_weight_flags()
     out: dict[tuple[int, ...], tuple[int, int]] = {}
     for comp in power.components():
-        hws = [x for x in comp if power.is_highest_weight(x)]
+        hws = [x for x in comp if hw[x]]
         if len(hws) != 1:
             raise ValueError(f"component with {len(hws)} highest weight elements")
         key = power.weights[hws[0]]

@@ -110,19 +110,18 @@ def infer_step_kind(ctx: CartanContext, start: Weight, end: Weight) -> StepKind:
 
 def _infer_step(ctx: CartanContext, start: tuple[int, ...], end: tuple[int, ...]) -> StepKind:
     diff = tuple(a - b for a, b in zip(end, start))
-    pair = f"{_fmt(start)} -> {_fmt(end)}"
     if ctx.family == SL2:
         if diff in ((1,), (-1,)):
             return SL2_STEP
-        raise InvalidStep(f"{pair} is not an SL2 step")
+        raise InvalidStep(f"{_fmt(start)} -> {_fmt(end)} is not an SL2 step")
     if ctx.family == SP:
         if sum(abs(d) for d in diff) == 1:
             return VECTOR
-        raise InvalidStep(f"{pair} is not an Sp vector step")
+        raise InvalidStep(f"{_fmt(start)} -> {_fmt(end)} is not an Sp vector step")
     if all(d in (0, 1) for d in diff):
         k = sum(diff)
         return VECTOR if k == 1 else exterior(k)
-    raise InvalidStep(f"{pair} is not a GL exterior-power step")
+    raise InvalidStep(f"{_fmt(start)} -> {_fmt(end)} is not a GL exterior-power step")
 
 
 def _fmt(c: Sequence[int]) -> str:

@@ -119,6 +119,17 @@ def test_crystal_dump_and_decompose(capsys):
     assert table[(0,)] == (5, 1)  # Catalan(3) trivial components
 
 
+@pytest.mark.parametrize("argv", [
+    # a one-element factor: |B|^r = 1, but r alone is over the cap
+    ["crystal", "decompose", "--family", "GL", "--rank", "2", "--kind", "exterior:2", "--r", "1000000000"],
+    ["--max-size", "100", "crystal", "decompose", "--family", "GL", "--rank", "2", "--r", "12"],
+])
+def test_crystal_power_over_the_size_cap(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("domain error: ")
+
+
 def test_oracle_subcommands(capsys):
     code, out, _ = run(capsys, "oracle", "evacuate", "--tableau", "134/256")
     assert code == 0 and json.loads(out) == [[1, 2, 5], [3, 4, 6]]
@@ -193,6 +204,14 @@ def test_hecke_error_exit_codes(capsys):
     code, out, err = run(capsys, "hecke", "matrix", "--shape", "3,x")
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     assert err.startswith("parse error: ")
+
+
+def test_hecke_sigma_checks_its_index(capsys):
+    code, out, err = run(capsys, "hecke", "matrix", "--shape", "2,1", "--op", "sigma", "--i", "99")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["domain error: generator index 99 out of range for r=3"]
+    code, out, _ = run(capsys, "hecke", "matrix", "--shape", "2,1", "--op", "sigma")
+    assert code == 0 and out.startswith("basis: 12/3 13/2")
 
 
 def test_hecke_shape_over_the_size_cap(capsys):

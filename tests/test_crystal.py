@@ -1,5 +1,6 @@
 import pytest
 
+import cactusgrowth.crystal as crystal_module
 from cactusgrowth.crystal import (
     BadParameter,
     Crystal,
@@ -18,6 +19,7 @@ GL2 = CartanContext("GL", 2)
 GL3 = CartanContext("GL", 3)
 GL4 = CartanContext("GL", 4)
 SP4 = CartanContext("Sp", 2)
+SP6 = CartanContext("Sp", 3)
 SL2 = CartanContext("SL2", 1)
 
 
@@ -125,9 +127,52 @@ def test_size_limit():
         tensor_power(c, 4, size_cap=50)
 
 
+@pytest.mark.parametrize("kind, k, r, cap", [
+    ("exterior", 2, 10**9, 10**6),  # a one-element factor: |B|^r = 1, but r is over the cap
+    ("vector", 1, 12, 100),         # 2^12 > 100
+    ("vector", 1, 10**18, 10**6),   # |B|^r is never formed
+])
+def test_tensor_power_refused_before_any_level(monkeypatch, kind, k, r, cap):
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(crystal_module, "tensor", no_level)
+    with pytest.raises(SizeLimit):
+        tensor_power(build_minuscule(GL2, kind, k), r, size_cap=cap)
+
+
+def test_tensor_power_at_the_cap_is_built():
+    c = build_minuscule(GL2, "vector")
+    assert tensor_power(c, 6, size_cap=64).n == 64
+    assert tensor_power(build_minuscule(GL2, "exterior", 2), 5, size_cap=5).n == 1
+
+
 def test_cyclic_graph_rejected():
     with pytest.raises(CyclicGraph):
         Crystal(SL2, ("a", "b"), {1: {0: 1, 1: 0}}, ((1,), (-1,)))
+
+
+def test_cycle_away_from_element_zero_rejected():
+    # 1 -> 0 is a chain; 3 -> 4 -> 3 is a cycle; 2 is isolated
+    with pytest.raises(CyclicGraph):
+        Crystal(SL2, "abcde", {1: {1: 0, 3: 4, 4: 3}}, ((1,), (-1,), (0,), (0,), (0,)))
+
+
+def test_non_injective_raising_map_rejected():
+    # 1 -> 0 <- 2 has no cycle; it fails injectivity, not acyclicity
+    with pytest.raises(ValueError, match="not injective") as info:
+        Crystal(SL2, "abc", {1: {1: 0, 2: 0}}, ((1,), (-1,), (-1,)))
+    assert not isinstance(info.value, CyclicGraph)
+
+
+@pytest.mark.parametrize("e_maps", [
+    {1: {1: 5}},   # target outside 0..n-1
+    {1: {-1: 0}},  # negative key
+    {2: {1: 0}},   # SL2 has only e_1
+])
+def test_malformed_raising_map_rejected(e_maps):
+    with pytest.raises(ValueError):
+        Crystal(SL2, ("+", "-"), e_maps, ((1,), (-1,)))
 
 
 def test_weight_compatibility_enforced():
@@ -171,3 +216,55 @@ def test_crystal_suite():
 def test_morphism_suite():
     report = check_morphism()
     assert report.passed, report.failures[:3]
+
+
+def _chain_length(m, x):
+    k = 0
+    while x in m:
+        x = m[x]
+        k += 1
+    return k
+
+
+def _reference_powers(c):
+    """Labels, weights and e-maps of c^(x)r for r = 0, 1, ... from the
+    per-element definitions: eps and phi by walking chains, the tensor rule
+    element by element."""
+    index_set = c.context.index_set()
+    labels, weights, e_maps = ["1"], [(0,) * c.context.rank], {i: {} for i in index_set}
+    c_eps = {i: [_chain_length(c.e_maps[i], y) for y in range(c.n)] for i in index_set}
+    while True:
+        yield labels, weights, e_maps
+        b_f = {i: {y: x for x, y in m.items()} for i, m in e_maps.items()}
+        new_maps = {}
+        for i in index_set:
+            m = {}
+            for x in range(len(labels)):
+                for y in range(c.n):
+                    if _chain_length(b_f[i], x) >= c_eps[i][y]:
+                        if x in e_maps[i]:
+                            m[x * c.n + y] = e_maps[i][x] * c.n + y
+                    elif y in c.e_maps[i]:
+                        m[x * c.n + y] = x * c.n + c.e_maps[i][y]
+            new_maps[i] = m
+        labels = [f"{lx}(x){ly}" for lx in labels for ly in c.labels]
+        weights = [tuple(a + d for a, d in zip(wx, wy)) for wx in weights for wy in c.weights]
+        e_maps = new_maps
+
+
+@pytest.mark.parametrize("ctx, kind, k", [
+    (GL2, "vector", 1), (GL3, "vector", 1), (GL4, "vector", 1), (GL4, "exterior", 2),
+    (SP4, "vector", 1), (SP6, "vector", 1), (SL2, "sl2", 1),
+])
+def test_tensor_power_equals_per_element_reference(ctx, kind, k):
+    c = build_minuscule(ctx, kind, k)
+    for r, (labels, weights, e_maps) in enumerate(_reference_powers(c)):
+        if c.n ** r > 4096:
+            break
+        power = tensor_power(c, r)
+        assert power.labels == tuple(labels) and power.weights == tuple(weights)
+        assert power.e_maps == e_maps
+        for i, m in e_maps.items():
+            f = {y: x for x, y in m.items()}
+            assert [power.eps(i, x) for x in range(power.n)] == [_chain_length(m, x) for x in range(power.n)]
+            assert [power.phi(i, x) for x in range(power.n)] == [_chain_length(f, x) for x in range(power.n)]
