@@ -22,7 +22,7 @@ from . import growth, hecke, oracles, suites, words
 from .cactus import CactusGen, parse_cactus_word
 from .crystal import BadParameter, SizeLimit, crystal_to_json, decompose
 from .qalgebra import DimensionMismatch, DivisionByZero
-from .weights import GL, SL2, SP, CartanContext, ContextMismatch
+from .weights import GL, SP, CartanContext, ContextMismatch
 from .words import HighestWeightWord, InvalidStep
 
 EXIT_OK = 0
@@ -174,6 +174,8 @@ def cmd_validate(args) -> int:
                 and all(isinstance(row, list) and all(_is_int_list(c) for c in row) for row in rows)):
             raise ValueError("window rows must be a non-empty list of rows of int corners")
         ctx = CartanContext(context["family"], context["rank"])
+        if any(len(c) != ctx.rank for row in rows for c in row):
+            raise ValueError(f"window corners must have {ctx.rank} coordinates")
         top = words.word_from_corners(ctx, rows[0])
         win = growth.CylWindow(ctx, top.steps, tuple(tuple(tuple(c) for c in row) for row in rows))
         ok = growth.validate_window(win)
@@ -191,15 +193,8 @@ def cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _context_from_args(args) -> CartanContext:
-    fam = {"GL": GL, "SL2": SL2, "Sp": SP}.get(args.family)
-    if fam is None:
-        raise UsageError(f"unknown family {args.family!r}")
-    return CartanContext(fam, args.rank)
-
-
 def cmd_crystal(args) -> int:
-    ctx = _context_from_args(args)
+    ctx = CartanContext(args.family, args.rank)
     kind = words.parse_step_kind(args.kind)
     c = kind.crystal(ctx)
     if args.crystal_cmd == "dump":

@@ -18,7 +18,7 @@ from itertools import combinations
 from operator import add, sub
 from typing import Iterable, Optional
 
-from .weights import GL, SL2, SP, CartanContext, ContextMismatch, Weight, weyl_orbit
+from .weights import GL, SL2, SP, CartanContext, ContextMismatch, weyl_orbit
 
 DEFAULT_SIZE_CAP = 10**6
 
@@ -92,9 +92,6 @@ class Crystal:
                 )
 
     # -- basic queries -------------------------------------------------------
-
-    def weight(self, x: int) -> Weight:
-        return Weight(self.context, self.weights[x])
 
     def e(self, i: int, x: int) -> Optional[int]:
         return self.e_maps[i].get(x)
@@ -227,6 +224,9 @@ def decompose(c: Crystal, r: int, size_cap: int = DEFAULT_SIZE_CAP) -> dict[tupl
 
     Returns {highest weight coords: (component count, component size)};
     the totals satisfy sum(count * size) == len(c)^r.
+
+    >>> decompose(build_minuscule(CartanContext('GL', 2), 'vector'), 3)
+    {(3, 0): (1, 4), (2, 1): (2, 2)}
     """
     power = tensor_power(c, r, size_cap=size_cap)
     hw = power._highest_weight_flags()
@@ -301,6 +301,4 @@ def crystal_to_json(c: Crystal) -> dict:
 
 def weyl_orbit_weights(c: Crystal) -> bool:
     """True when the Weyl group acts transitively on the weights of c."""
-    wts = {w for w in c.weights}
-    first = Weight(c.context, c.weights[0])
-    return wts == set(weyl_orbit(first))
+    return set(c.weights) == weyl_orbit(c.context.family, c.weights[0])

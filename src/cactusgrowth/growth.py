@@ -15,9 +15,10 @@ p-1, and an upward local-rule sweep over the band gives the new top row.
 wall_cross reaches the same word through a cylindrical window and shares
 nothing with act_gen beyond the local rule, so it is the independent check.
 
-Corners are plain int tuples and every cell is filled by weights.local_rule.
-Weight appears only in the public accessors that hand single weights to
-callers: triangle_rows, complete_rectangle and CylWindow.value / shape.
+Corners are plain int tuples.  The fast paths fill cells with
+weights.local_rule; rectangles and window validation use the checked rule
+words.fill_cell.  Weight appears only in triangle_rows, whose rows the
+benchmark's layer probe reads.
 """
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ from .words import (
     HighestWeightWord,
     InvalidStep,
     StepKind,
-    complete_cell,
     cell_is_valid,
+    fill_cell,
     infer_step_kind,
     word_from_corners,
 )
@@ -164,33 +165,36 @@ def promotion_inverse(w: HighestWeightWord) -> HighestWeightWord:
 
 @dataclass(frozen=True)
 class RectDiagram:
-    """Completed (m+1) x (n+1) grid; grid[i][j] is the weight at row i
+    """Completed (m+1) x (n+1) grid; grid[i][j] is the corner at row i
     (top row 0), column j (left column 0)."""
 
-    grid: tuple[tuple[Weight, ...], ...]
+    grid: tuple[tuple[Corner, ...], ...]
     top_steps: tuple[StepKind, ...]
     left_steps: tuple[StepKind, ...]
 
-    def bottom_row(self) -> tuple[Weight, ...]:
+    def bottom_row(self) -> tuple[Corner, ...]:
         return self.grid[-1]
 
-    def right_column(self) -> tuple[Weight, ...]:
+    def right_column(self) -> tuple[Corner, ...]:
         return tuple(row[-1] for row in self.grid)
 
 
 def complete_rectangle(
-    top_corners: Sequence[Weight],
-    left_corners: Sequence[Weight],
+    ctx: CartanContext,
+    top_corners: Sequence[Corner],
+    left_corners: Sequence[Corner],
 ) -> RectDiagram:
     """Fill the rectangle from its top row and left column.
 
     left_corners runs bottom-to-top and must end at top_corners[0]; the
     bottom row is the rectified version of the top word and the right
     column its companion.
+
+    >>> complete_rectangle(CartanContext('GL', 2), [(1, 0), (1, 1)], [(0, 0), (1, 0)]).bottom_row()
+    ((0, 0), (1, 0))
     """
     if left_corners[-1] != top_corners[0]:
         raise InvalidStep("top row and left column do not share their corner")
-    ctx = top_corners[0].context
     m = len(left_corners) - 1
     n = len(top_corners) - 1
     top_steps = tuple(infer_step_kind(ctx, top_corners[j], top_corners[j + 1]) for j in range(n))
@@ -200,7 +204,7 @@ def complete_rectangle(
         prev = rows[i - 1]
         row = [left_corners[m - i]]
         for j in range(1, n + 1):
-            row.append(complete_cell(row[-1], prev[j - 1], prev[j]))
+            row.append(fill_cell(ctx, row[-1], prev[j - 1], prev[j]))
         rows.append(row)
     return RectDiagram(tuple(tuple(r) for r in rows), top_steps, left_steps)
 
@@ -229,17 +233,14 @@ class CylWindow:
     def depth(self) -> int:
         return len(self.rows)
 
-    def value(self, i: int, j: int) -> Weight:
+    def value(self, i: int, j: int) -> Corner:
         if not (0 <= i < self.depth and i <= j <= i + self.r):
             raise KeyError(f"({i}, {j}) outside the window")
-        return Weight(self.context, self.rows[i][j - i])
+        return self.rows[i][j - i]
 
     def row_word(self, i: int) -> HighestWeightWord:
         steps = self.steps[i % self.r:] + self.steps[: i % self.r]
         return HighestWeightWord(self.context, steps, self.rows[i])
-
-    def shape(self) -> Weight:
-        return Weight(self.context, self.rows[0][-1])
 
 
 def build_cylinder(w: HighestWeightWord, depth: int) -> CylWindow:
@@ -254,20 +255,18 @@ def build_cylinder(w: HighestWeightWord, depth: int) -> CylWindow:
 
 def validate_window(win: CylWindow) -> bool:
     """Independent cell-by-cell check of every unit square and boundary."""
-    r = win.r
+    ctx, r = win.context, win.r
     shape = win.rows[0][-1]
-    for i, row in enumerate(win.rows):
-        if any(c != 0 for c in row[0]) or row[-1] != shape:
+    for row in win.rows:
+        if len(row) != r + 1 or any(c != 0 for c in row[0]) or row[-1] != shape:
             return False
-        if not all(dominant(win.context.family, c) for c in row):
+        if not all(dominant(ctx.family, c) for c in row):
             return False
-    for i in range(win.depth - 1):
-        for j in range(i + 1, i + r):
-            kappa = win.value(i + 1, j)
-            lam = win.value(i, j)
-            nu = win.value(i, j + 1)
-            mu = win.value(i + 1, j + 1)
-            if not cell_is_valid(kappa, lam, nu, mu):
+    for above, below in zip(win.rows, win.rows[1:]):
+        # row i holds gamma(i, i + t) at t; the cell at (i, i + t) has kappa =
+        # below[t - 1], lam = above[t], nu = above[t + 1] and mu = below[t]
+        for t in range(1, r):
+            if not cell_is_valid(ctx, below[t - 1], above[t], above[t + 1], below[t]):
                 return False
     return True
 

@@ -130,7 +130,12 @@ def t_matrix(rep: SeminormalRep, i: int, inverse: bool = False) -> QMatrix:
 
 
 def tau_matrix(rep: SeminormalRep, i: int) -> QMatrix:
-    """The involutive local-rule generator tau_i."""
+    """The involutive local-rule generator tau_i.
+
+    >>> print(tau_matrix(SeminormalRep((2, 1)), 1).pretty())
+    [  1   0 ]
+    [  0  -1 ]
+    """
     return _generator(rep, i, "tau")
 
 

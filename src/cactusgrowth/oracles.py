@@ -238,9 +238,6 @@ class SemistandardTableau:
     def shape(self) -> Partition:
         return Partition(len(r) for r in self.rows)
 
-    def max_entry(self) -> int:
-        return max((v for row in self.rows for v in row), default=0)
-
     def weight_vector(self, bound: int) -> tuple[int, ...]:
         return tuple(sum(1 for row in self.rows for v in row if v == k) for k in range(1, bound + 1))
 

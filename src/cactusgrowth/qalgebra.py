@@ -81,14 +81,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no valuation")
         return min(self._c)
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by q^k."""
-        return LaurentPoly({e + k: c for e, c in self._c.items()})
-
-    def content(self) -> int:
-        """gcd of the integer coefficients (0 for the zero polynomial)."""
-        return gcd(*self._c.values())
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self._c)
         for e, c in other._c.items():

@@ -4,9 +4,10 @@ Three families are supported: GL(n) with integer-vector weights, SL2 with a
 single integer coordinate <wt, alpha_check>, and Sp(2n) with weights in the
 standard epsilon-coordinate lattice.  dom picks the dominant representative
 of a Weyl orbit: sort for GL, absolute value for SL2, absolute values then
-sort for Sp.  The tuple functions dom, dominant and local_rule are what the
-word and growth layers compute with; dom_w and is_dominant wrap them for
-Weight.
+sort for Sp.  Corners are plain int tuples: dom, dominant, local_rule and
+weyl_orbit are what every internal path computes with.  Weight (with its
++ and -), CartanContext.weight, dom_w and is_dominant remain only because
+the benchmark's layer probes call Weight, dom_w and is_dominant.
 """
 from __future__ import annotations
 
@@ -65,9 +66,6 @@ class CartanContext:
             coords[i - 1] = 1
             coords[i] = -1
         return tuple(coords)
-
-    def zero(self) -> "Weight":
-        return Weight(self, (0,) * self.rank)
 
     def weight(self, coords: Sequence[int]) -> "Weight":
         return Weight(self, tuple(coords))
@@ -153,16 +151,14 @@ def dom_w(w: Weight) -> Weight:
     return Weight(w.context, dom(w.context.family, w.coords))
 
 
-def weyl_orbit(w: Weight) -> frozenset[tuple[int, ...]]:
-    """All coordinate vectors in the Weyl orbit of w."""
-    fam = w.context.family
-    if fam == GL:
-        return frozenset(permutations(w.coords))
-    if fam == SL2:
-        m = w.coords[0]
-        return frozenset({(m,), (-m,)})
+def weyl_orbit(family: str, c: Sequence[int]) -> frozenset[Corner]:
+    """All coordinate tuples in the Weyl orbit of a coordinate tuple."""
+    if family == GL:
+        return frozenset(permutations(c))
+    if family == SL2:
+        return frozenset({(c[0],), (-c[0],)})
     out = set()
-    for perm in permutations(w.coords):
+    for perm in permutations(c):
         for signs in product(*[((1,) if c == 0 else (1, -1)) for c in perm]):
             out.add(tuple(s * c for s, c in zip(signs, perm)))
     return frozenset(out)

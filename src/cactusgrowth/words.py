@@ -8,10 +8,10 @@ omitted.  The elementary move tau_i replaces w_i by dom_W(w_{i-1} + w_{i+1}
 - w_i) and swaps the factor descriptors at i and i+1.
 
 Corners are plain int tuples.  A step is valid when dom_W of its difference
-is the factor's fundamental weight, and cells are completed by
-weights.local_rule.  Weight appears only where callers pass or receive
-single weights (corner, weight, complete_cell, cell_is_valid,
-infer_step_kind).
+is the factor's fundamental weight, and fill_cell is the one checked cell
+rule: weights.local_rule with both new steps checked.  Weight appears only
+in complete_cell, the wrapper of fill_cell that the benchmark's layer probe
+calls, and in HighestWeightWord.corner.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .weights import (
     SP,
     CartanContext,
     ContextMismatch,
+    Corner,
     Weight,
     dom,
     dominant,
@@ -54,8 +55,7 @@ class StepKind:
             raise ValueError(f"unknown step kind {self.name!r}")
 
     def orbit(self, ctx: CartanContext) -> frozenset[tuple[int, ...]]:
-        fund = self.fundamental_weight(ctx)
-        return weyl_orbit(Weight(ctx, fund))
+        return weyl_orbit(ctx.family, self.fundamental_weight(ctx))
 
     def fundamental_weight(self, ctx: CartanContext) -> tuple[int, ...]:
         if ctx.family == SL2:
@@ -81,7 +81,7 @@ class StepKind:
         return build_minuscule(ctx, "vector")
 
     def __str__(self) -> str:
-        if self.name == "exterior" and self.k != 1:
+        if self.name == "exterior":
             return f"exterior({self.k})"
         return self.name
 
@@ -103,12 +103,12 @@ def step_is_valid(ctx: CartanContext, kind: StepKind, start: Sequence[int], end:
     return dom(fam, [a - b for a, b in zip(end, start)]) == kind.fundamental_weight(ctx)
 
 
-def infer_step_kind(ctx: CartanContext, start: Weight, end: Weight) -> StepKind:
-    """Recover the factor descriptor from a single corner pair."""
-    return _infer_step(ctx, start.coords, end.coords)
+def infer_step_kind(ctx: CartanContext, start: Corner, end: Corner) -> StepKind:
+    """Recover the factor descriptor from a single corner pair.
 
-
-def _infer_step(ctx: CartanContext, start: tuple[int, ...], end: tuple[int, ...]) -> StepKind:
+    >>> print(infer_step_kind(CartanContext('GL', 4), (1, 1, 1, 0), (2, 1, 1, 1)))
+    exterior(2)
+    """
     diff = tuple(a - b for a, b in zip(end, start))
     if ctx.family == SL2:
         if diff in ((1,), (-1,)):
@@ -156,9 +156,6 @@ class HighestWeightWord:
     def corner(self, k: int) -> Weight:
         return Weight(self.context, self.corners[k])
 
-    def weight(self) -> Weight:
-        return self.corner(self.r)
-
     def __str__(self) -> str:
         return " -> ".join(_fmt(c) for c in self.corners)
 
@@ -168,34 +165,42 @@ def word_from_corners(ctx: CartanContext, corners: Sequence[Sequence[int]],
     """Build a word from raw corner vectors, inferring descriptors if absent."""
     tuples = tuple(tuple(int(x) for x in c) for c in corners)
     if steps is None:
-        steps = tuple(_infer_step(ctx, tuples[k], tuples[k + 1]) for k in range(len(tuples) - 1))
+        steps = tuple(infer_step_kind(ctx, tuples[k], tuples[k + 1]) for k in range(len(tuples) - 1))
     return HighestWeightWord(ctx, tuple(steps), tuples)
 
 
-def complete_cell(kappa: Weight, lam: Weight, nu: Weight) -> Weight:
+def fill_cell(ctx: CartanContext, kappa: Corner, lam: Corner, nu: Corner) -> Corner:
     """The minuscule local rule: the fourth corner mu = dom_W(kappa + nu - lam).
 
     kappa is the bottom-left corner, lam top-left, nu top-right; the result
     completes the cell so that (kappa -> mu) carries the top factor and
-    (mu -> nu) the left factor.
+    (mu -> nu) the left factor.  Raises InvalidStep when a given step or a
+    new one is not minuscule.
     """
+    kind_left = infer_step_kind(ctx, kappa, lam)
+    kind_top = infer_step_kind(ctx, lam, nu)
+    mu = local_rule(ctx.family, kappa, lam, nu)
+    if not (step_is_valid(ctx, kind_top, kappa, mu) and step_is_valid(ctx, kind_left, mu, nu)):
+        raise InvalidStep(f"cell ({_fmt(kappa)}, {_fmt(lam)}, {_fmt(nu)}) does not complete minuscule-wise")
+    return mu
+
+
+def complete_cell(kappa: Weight, lam: Weight, nu: Weight) -> Weight:
+    """fill_cell on three weights of one context."""
     ctx = kappa.context
     if not ctx == lam.context == nu.context:
         raise ContextMismatch(f"cell corners from {ctx}, {lam.context}, {nu.context}")
-    kind_left = infer_step_kind(ctx, kappa, lam)
-    kind_top = infer_step_kind(ctx, lam, nu)
-    mu = local_rule(ctx.family, kappa.coords, lam.coords, nu.coords)
-    if not (step_is_valid(ctx, kind_top, kappa.coords, mu) and step_is_valid(ctx, kind_left, mu, nu.coords)):
-        raise InvalidStep(f"cell ({kappa}, {lam}, {nu}) does not complete minuscule-wise")
-    return Weight(ctx, mu)
+    return Weight(ctx, fill_cell(ctx, kappa.coords, lam.coords, nu.coords))
 
 
-def cell_is_valid(kappa: Weight, lam: Weight, nu: Weight, mu: Weight) -> bool:
-    """Independent cell validator: checks the rule in both orientations."""
+def cell_is_valid(ctx: CartanContext, kappa: Corner, lam: Corner, nu: Corner, mu: Corner) -> bool:
+    """Independent cell validator: checks the rule in both orientations.
+
+    >>> cell_is_valid(CartanContext('GL', 2), (1, 0), (2, 0), (2, 1), (1, 1))
+    True
+    """
     try:
-        if complete_cell(kappa, lam, nu) != mu:
-            return False
-        return complete_cell(kappa, mu, nu) == lam
+        return fill_cell(ctx, kappa, lam, nu) == mu and fill_cell(ctx, kappa, mu, nu) == lam
     except InvalidStep:
         return False
 

@@ -143,7 +143,7 @@ def test_acceptance_1c_sp_window():
 
     # the evacuation column: reading the shape column upward = evacuation of the top row
     ev = evacuation(top)
-    column = [win.value(6 - k, 6).coords for k in range(7)]
+    column = [win.value(6 - k, 6) for k in range(7)]
     assert list(ev.corners) == column
     assert [list(c) for c in ev.corners] == fix["evacuation_column_of_window"]
 

@@ -106,6 +106,15 @@ def test_ascii_format(capsys):
     assert out.strip() == "[]  [1]  [11]  [1]  [11]  [1]  []"
 
 
+def test_act_output_reads_back(capsys):
+    word = '{"context":{"family":"GL","rank":2},"steps":["exterior(1)","exterior(1)"],"corners":[[0,0],[1,0],[1,1]]}'
+    code, out, _ = run(capsys, "act", "--word", "s(1,2)", "--json", word)
+    assert code == 0 and json.loads(out)["steps"] == ["exterior(1)", "exterior(1)"]
+    again, out_again, err = run(capsys, "act", "--word", "s(1,2)", "--json", out)
+    assert again == 0 and err == ""
+    assert json.loads(out_again) == json.loads(word)
+
+
 def test_crystal_dump_and_decompose(capsys):
     code, out, _ = run(capsys, "crystal", "dump", "--family", "Sp", "--rank", "2")
     assert code == 0
@@ -155,7 +164,13 @@ def test_malformed_tableau_json_exit_2(capsys, argv):
     assert_one_line_exit_2(*run(capsys, *argv))
 
 
-@pytest.mark.parametrize("rows", [[], [1], [[1]]])
+@pytest.mark.parametrize("argv", [["--family", "GL", "--rank", "0"], ["--family", "SL2", "--rank", "2"],
+                                  ["--family", "Sp", "--rank", "x"]])
+def test_crystal_bad_rank_exit_2(capsys, argv):
+    assert_one_line_exit_2(*run(capsys, "crystal", "decompose", *argv, "--r", "2"))
+
+
+@pytest.mark.parametrize("rows", [[], [1], [[1]], [[[0, 0], [1, 0]], [[0, 0], [1]]]])
 def test_malformed_window_rows_exit_2(capsys, tmp_path, rows):
     f = tmp_path / "win.json"
     f.write_text(json.dumps({"context": {"family": "GL", "rank": 2}, "steps": [], "rows": rows}))

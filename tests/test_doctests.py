@@ -11,3 +11,4 @@ def test_module_doctests(name):
     mod = importlib.import_module(f"cactusgrowth.{name}")
     result = doctest.testmod(mod)
     assert result.failed == 0
+    assert result.attempted > 0

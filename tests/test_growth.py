@@ -3,6 +3,7 @@ import pytest
 from cactusgrowth.cactus import CactusGen, CactusWord, parse_cactus_word, reduce_to_s1q, word as cword
 from cactusgrowth.growth import (
     BadPath,
+    CylWindow,
     act,
     build_cylinder,
     complete_rectangle,
@@ -17,7 +18,7 @@ from cactusgrowth.growth import (
     wall_cross,
 )
 from cactusgrowth.oracles import enumerate_syt, evacuation_oracle, partitions_of, promotion_oracle, syt_from_string
-from cactusgrowth.weights import CartanContext, Weight
+from cactusgrowth.weights import CartanContext
 from cactusgrowth.words import SL2_STEP, VECTOR, enumerate_hw_words, exterior, syt_to_word, word_from_corners, word_to_syt
 
 GL2 = CartanContext("GL", 2)
@@ -166,14 +167,11 @@ def test_act_cactus_relations_exhaustive_small():
 
 def test_rectangle_trivial_cases():
     w = word_from_corners(GL2, [(0, 0), (1, 0), (2, 0)])
-    top = [w.corner(k) for k in range(w.r + 1)]
-    diag = complete_rectangle(top, [w.corner(0)])
-    assert [wt.coords for wt in diag.bottom_row()] == [c for c in w.corners]
+    diag = complete_rectangle(GL2, w.corners, w.corners[:1])
+    assert diag.bottom_row() == w.corners
     # 1x1 grid is a single cell
-    left = [Weight(GL2, (0, 0)), Weight(GL2, (1, 0))]
-    top1 = [Weight(GL2, (1, 0)), Weight(GL2, (1, 1))]
-    diag1 = complete_rectangle(top1, left)
-    assert diag1.grid[1][1].coords == (1, 0)
+    diag1 = complete_rectangle(GL2, [(1, 0), (1, 1)], [(0, 0), (1, 0)])
+    assert diag1.grid[1][1] == (1, 0)
 
 
 def test_rectangle_transpose_symmetry():
@@ -182,10 +180,10 @@ def test_rectangle_transpose_symmetry():
     # completed rectangle equals completing the transposed inputs
     for ctx in (SL2, SP4):
         for w in enumerate_hw_words(ctx, (VECTOR,) * 4):
-            top = [w.corner(k) for k in range(2, 5)]
-            left = [w.corner(k) for k in range(0, 3)]
-            diag = complete_rectangle(top, left)
-            diag_t = complete_rectangle(list(reversed(left)), list(reversed(top)))
+            top = w.corners[2:5]
+            left = w.corners[0:3]
+            diag = complete_rectangle(ctx, top, left)
+            diag_t = complete_rectangle(ctx, left[::-1], top[::-1])
             for i in range(len(left)):
                 for j in range(len(top)):
                     assert diag.grid[i][j] == diag_t.grid[j][i]
@@ -213,6 +211,37 @@ def test_cylinder_build_and_validate():
         list(map(tuple, SP_R1)), list(map(tuple, SP_R2)), list(map(tuple, SP_R3)),
         list(map(tuple, SP_R1)),
     ]
+
+
+def _standard_windows():
+    """Every depth-2..5 window of every word of GL(2) and GL(3) vector with
+    r <= 5, GL(4) wedge-square and Sp(4) vector with r <= 4."""
+    families = ((GL2, VECTOR, 5), (GL3, VECTOR, 5), (CartanContext("GL", 4), exterior(2), 4), (SP4, VECTOR, 4))
+    for ctx, kind, r_max in families:
+        for r in range(r_max + 1):
+            for w in enumerate_hw_words(ctx, (kind,) * r):
+                for depth in range(2, 6):
+                    yield build_cylinder(w, depth)
+
+
+def test_validate_window_rejects_every_single_corner_corruption():
+    # each corner below row 0 replaced by every other corner of its window
+    for win in _standard_windows():
+        assert validate_window(win)
+        values = {c for row in win.rows for c in row}
+        for i in range(1, win.depth):
+            for t, old in enumerate(win.rows[i]):
+                for new in values - {old}:
+                    row = win.rows[i][:t] + (new,) + win.rows[i][t + 1:]
+                    bad = CylWindow(win.context, win.steps, win.rows[:i] + (row,) + win.rows[i + 1:])
+                    assert not validate_window(bad), (win.rows, i, t, new)
+
+
+def test_validate_window_rejects_rows_of_the_wrong_length():
+    win = build_cylinder(word_from_corners(GL2, [(0, 0), (1, 0), (1, 1)]), 2)
+    top, below = win.rows
+    for row in (below + (below[-1],), below[:1] + below[2:]):
+        assert not validate_window(CylWindow(GL2, win.steps, (top, row)))
 
 
 def test_cylinder_row_words_are_promotions():

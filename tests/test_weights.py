@@ -45,7 +45,7 @@ def test_dom_w_orbit_constant(ctx, bound):
         d = dom_w(w)
         assert is_dominant(d)
         assert dom_w(d) == d
-        assert all(dom_w(Weight(ctx, o)) == d for o in weyl_orbit(w))
+        assert all(dom_w(Weight(ctx, o)) == d for o in weyl_orbit(ctx.family, coords))
 
 
 def test_strip_checks():

@@ -14,6 +14,7 @@ from cactusgrowth.words import (
     enumerate_hw_words,
     exterior,
     infer_step_kind,
+    parse_step_kind,
     step_is_valid,
     syt_to_word,
     tau,
@@ -67,11 +68,16 @@ def test_closed_forms_match_orbit_and_weight_arithmetic(ctx):
 
 
 def test_infer_step_kind():
-    assert infer_step_kind(GL4, Weight(GL4, (1, 1, 1, 0)), Weight(GL4, (2, 1, 1, 1))) == exterior(2)
-    assert infer_step_kind(GL2, Weight(GL2, (1, 0)), Weight(GL2, (2, 0))) == VECTOR
-    assert infer_step_kind(SP4, Weight(SP4, (1, 1)), Weight(SP4, (1, 0))) == VECTOR
+    assert infer_step_kind(GL4, (1, 1, 1, 0), (2, 1, 1, 1)) == exterior(2)
+    assert infer_step_kind(GL2, (1, 0), (2, 0)) == VECTOR
+    assert infer_step_kind(SP4, (1, 1), (1, 0)) == VECTOR
     with pytest.raises(InvalidStep):
-        infer_step_kind(SP4, Weight(SP4, (1, 0)), Weight(SP4, (2, 1)))
+        infer_step_kind(SP4, (1, 0), (2, 1))
+
+
+def test_step_kind_text_round_trip():
+    for kind in (VECTOR, SL2_STEP) + tuple(exterior(k) for k in range(5)):
+        assert parse_step_kind(str(kind)) == kind
 
 
 def test_complete_cell_gl2():
@@ -97,7 +103,7 @@ def test_cell_symmetry_exhaustive():
         kappa, lam, nu = word.corner(0), word.corner(1), word.corner(2)
         mu = complete_cell(kappa, lam, nu)
         assert complete_cell(kappa, mu, nu) == lam
-        assert cell_is_valid(kappa, lam, nu, mu)
+        assert cell_is_valid(GL2, kappa.coords, lam.coords, nu.coords, mu.coords)
 
 
 def test_tau_basic():
@@ -155,11 +161,11 @@ def test_commutor_prefix_matches_rectangle():
 
     for word in enumerate_hw_words(SL2, tuple([VECTOR]) * 3):
         moved = commutor_prefix(word, 1)
-        left = [word.corner(0), word.corner(1)]
-        top = [word.corner(k) for k in range(1, word.r + 1)]
-        diag = complete_rectangle(top, left)
-        bottom = [wt.coords for wt in diag.bottom_row()]
-        top_right = diag.right_column()[0].coords
+        left = word.corners[:2]
+        top = word.corners[1:]
+        diag = complete_rectangle(SL2, top, left)
+        bottom = diag.bottom_row()
+        top_right = diag.right_column()[0]
         assert moved.corners == tuple(bottom) + (top_right,)
 
 
