@@ -10,68 +10,69 @@ first, so `act --word "s(1,6) s(2,6)"` applies s(2,6) and then s(1,6).
 Exit codes: 0 success, 1 verification or demo failure, 2 usage/parse
 error, 3 domain error (invalid step, dimension mismatch, ...).
 """
+# A one-shot command loads only the layers it runs: at module level this
+# file imports only the standard library, and each handler imports the
+# layers it calls where it calls them, so `act` never loads the crystals,
+# the Hecke algebra, the oracles or the verification suites.  In process
+# those imports run on every request; the absolute form
+# `import cactusgrowth.x as x` costs about a third of `from . import x`,
+# which calls back into importlib's Python code.
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from importlib import resources
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import growth, hecke, oracles, suites, words
-from .cactus import CactusGen, parse_cactus_word
-from .crystal import BadParameter, SizeLimit, crystal_to_json, decompose
-from .qalgebra import DimensionMismatch, DivisionByZero
-from .weights import GL, SP, CartanContext, ContextMismatch
-from .words import HighestWeightWord, InvalidStep
+if TYPE_CHECKING:
+    from .growth import CylWindow
+    from .oracles import StandardTableau
+    from .words import HighestWeightWord
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-_DOMAIN_ERRORS = (
-    InvalidStep,
-    ContextMismatch,
-    BadParameter,
-    SizeLimit,
-    DimensionMismatch,
-    DivisionByZero,
-    growth.BadPath,
-    hecke.IndexOutOfRange,
-    oracles.StripViolation,
-)
-
 
 def _load_fixture(name: str) -> dict:
+    from importlib import resources
+
     with resources.files("cactusgrowth").joinpath("data", name).open() as fh:
         return json.load(fh)
 
 
 def _demo_word(name: str) -> HighestWeightWord:
+    import cactusgrowth.weights as weights
+    import cactusgrowth.words as words
+
     if name.startswith("fig-cat-"):
         fix = _load_fixture("fig_cat.json")
         key = name.rsplit("-", 1)[1].upper()
         if key not in fix["tableaux"]:
             raise ValueError(f"unknown tableau {key!r}")
+        import cactusgrowth.oracles as oracles
+
         t = oracles.syt_from_string(fix["tableaux"][key])
         return words.syt_to_word(t.rows, rank=2)
     if name == "ex-sp":
         fix = _load_fixture("sp_window.json")
-        ctx = CartanContext(SP, fix["rank"])
+        ctx = weights.CartanContext(weights.SP, fix["rank"])
         return words.word_from_corners(ctx, fix["printed_start_word"])
     if name == "ex-sp-top":
         fix = _load_fixture("sp_window.json")
-        ctx = CartanContext(SP, fix["rank"])
+        ctx = weights.CartanContext(weights.SP, fix["rank"])
         return words.word_from_corners(ctx, fix["top_row"])
     if name == "gl-window":
         fix = _load_fixture("gl_window.json")
-        ctx = CartanContext(GL, fix["rank"])
+        ctx = weights.CartanContext(weights.GL, fix["rank"])
         return words.word_from_corners(ctx, fix["rows"][0])
     raise ValueError(f"unknown demo input {name!r}")
 
 
 def _read_word(args) -> HighestWeightWord:
+    import cactusgrowth.words as words
+
     sources = [s for s in (args.input, args.json, getattr(args, "demo", None)) if s]
     if len(sources) != 1:
         raise UsageError("provide exactly one of --input, --json, --demo")
@@ -98,13 +99,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit_word(w: HighestWeightWord, fmt: str) -> None:
     if fmt == "ascii":
+        import cactusgrowth.growth as growth
+
         print(growth.render_word_ascii(w))
     else:
+        import cactusgrowth.words as words
+
         print(json.dumps(words.word_to_json(w)))
 
 
-def _emit_window(win: growth.CylWindow, fmt: str) -> None:
+def _emit_window(win: CylWindow, fmt: str) -> None:
     if fmt == "ascii":
+        import cactusgrowth.growth as growth
+
         print(growth.render_window_ascii(win))
     else:
         payload = {
@@ -119,14 +126,19 @@ def _emit_window(win: growth.CylWindow, fmt: str) -> None:
 
 
 def cmd_act(args) -> int:
+    import cactusgrowth.cactus as cactus
+    import cactusgrowth.growth as growth
+
     w = _read_word(args)
-    g = parse_cactus_word(args.word, w.r)
+    g = cactus.parse_cactus_word(args.word, w.r)
     out = growth.act(g, w)
     _emit_word(out, args.format)
     return EXIT_OK
 
 
 def cmd_evacuate(args) -> int:
+    import cactusgrowth.growth as growth
+
     w = _read_word(args)
     if args.format == "ascii" and args.show_diagram:
         print(growth.render_triangle_ascii(w))
@@ -135,72 +147,80 @@ def cmd_evacuate(args) -> int:
 
 
 def cmd_promote(args) -> int:
+    import cactusgrowth.growth as growth
+
     w = _read_word(args)
     _emit_word(growth.promotion(w), args.format)
     return EXIT_OK
 
 
 def cmd_tau(args) -> int:
+    import cactusgrowth.words as words
+
     w = _read_word(args)
     _emit_word(words.tau(w, args.i), args.format)
     return EXIT_OK
 
 
 def cmd_cylinder(args) -> int:
+    import cactusgrowth.errors as errors
+    import cactusgrowth.growth as growth
+
     w = _read_word(args)
     cells = args.depth * (w.r + 1)
     if cells > args.max_size:
-        raise SizeLimit(f"a window of depth {args.depth} on r={w.r} has {cells} cells, "
-                        f"over the cap of {args.max_size}")
+        raise errors.SizeLimit(f"a window of depth {args.depth} on r={w.r} has {cells} cells, "
+                               f"over the cap of {args.max_size}")
     win = growth.build_cylinder(w, args.depth)
     _emit_window(win, args.format)
     return EXIT_OK
 
 
-def _is_int_list(x) -> bool:
-    return isinstance(x, list) and all(type(v) is int for v in x)
-
-
 def cmd_validate(args) -> int:
+    import cactusgrowth.growth as growth
+    import cactusgrowth.weights as weights
+    import cactusgrowth.words as words
+
     with open(args.input) as fh:
         payload = json.load(fh)
     context = payload.get("context") if isinstance(payload, dict) else None
-    if not (isinstance(context, dict) and isinstance(context.get("family"), str)
-            and type(context.get("rank")) is int):
-        raise ValueError("a window or word must be an object with a context of a string family and an int rank")
+    if not (isinstance(context, dict) and "family" in context and "rank" in context
+            and ("rows" in payload or "corners" in payload)):
+        raise ValueError("a window or word must be an object with a context of a family and a rank, "
+                         "and rows or corners")
+    words.check_word_json(payload)
     if "rows" in payload:
         rows = payload["rows"]
-        if not (isinstance(rows, list) and rows
-                and all(isinstance(row, list) and all(_is_int_list(c) for c in row) for row in rows)):
+        if not (isinstance(rows, list) and rows and all(words.is_corner_list(row) for row in rows)):
             raise ValueError("window rows must be a non-empty list of rows of int corners")
-        ctx = CartanContext(context["family"], context["rank"])
+        ctx = weights.CartanContext(context["family"], context["rank"])
         if any(len(c) != ctx.rank for row in rows for c in row):
             raise ValueError(f"window corners must have {ctx.rank} coordinates")
         top = words.word_from_corners(ctx, rows[0])
         win = growth.CylWindow(ctx, top.steps, tuple(tuple(tuple(c) for c in row) for row in rows))
         ok = growth.validate_window(win)
     else:
-        corners, steps = payload.get("corners"), payload.get("steps") or []
-        if not (isinstance(corners, list) and all(_is_int_list(c) for c in corners)
-                and isinstance(steps, list) and all(isinstance(x, str) for x in steps)):
-            raise ValueError("a word's corners must be a list of int corners and its steps a list of strings")
         try:
             words.word_from_json(payload)
             ok = True
-        except InvalidStep:
+        except words.InvalidStep:
             ok = False
     print("valid" if ok else "invalid")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_crystal(args) -> int:
-    ctx = CartanContext(args.family, args.rank)
+    import cactusgrowth.crystal as crystal
+    import cactusgrowth.weights as weights
+    import cactusgrowth.words as words
+
+    ctx = weights.CartanContext(args.family, args.rank)
     kind = words.parse_step_kind(args.kind)
     c = kind.crystal(ctx)
     if args.crystal_cmd == "dump":
-        print(json.dumps(crystal_to_json(c)))
+        print(json.dumps(crystal.crystal_to_json(c)))
         return EXIT_OK
-    census = decompose(c, args.r, size_cap=args.max_size)
+    census = crystal.decompose(c, args.r, size_cap=args.max_size)
     payload = {
         "crystal_size": c.n,
         "r": args.r,
@@ -213,6 +233,10 @@ def cmd_crystal(args) -> int:
     return EXIT_OK
 
 
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(type(v) is int for v in x)
+
+
 def _tableau_json(text: str) -> list[list[int]]:
     """Tableau rows from JSON, which must be a list of lists of ints."""
     rows = json.loads(text)
@@ -221,7 +245,9 @@ def _tableau_json(text: str) -> list[list[int]]:
     return rows
 
 
-def _read_tableau(args) -> oracles.StandardTableau:
+def _read_tableau(args) -> StandardTableau:
+    import cactusgrowth.oracles as oracles
+
     if args.tableau:
         return oracles.syt_from_string(args.tableau)
     if args.json:
@@ -230,6 +256,8 @@ def _read_tableau(args) -> oracles.StandardTableau:
 
 
 def cmd_oracle(args) -> int:
+    import cactusgrowth.oracles as oracles
+
     op = args.oracle_cmd
     if op in ("evacuate", "promote", "dk"):
         t = _read_tableau(args)
@@ -268,16 +296,23 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 
 
 def cmd_hecke(args) -> int:
+    import cactusgrowth.errors as errors
+    import cactusgrowth.oracles as oracles
+
     shape = _parse_shape(args.shape)
     dim = oracles.count_syt(shape)
     if dim > args.max_size:
-        raise SizeLimit(f"shape {args.shape} has {dim} standard tableaux, over the cap of {args.max_size}")
+        raise errors.SizeLimit(f"shape {args.shape} has {dim} standard tableaux, over the cap of {args.max_size}")
     if args.hecke_cmd == "check":
+        import cactusgrowth.suites as suites
+
         rep = suites.check_hecke_shape(shape)
         for line in rep.failures:
             print("FAIL:", line)
         print(rep.summary())
         return EXIT_OK if rep.passed else EXIT_VERIFY
+    import cactusgrowth.hecke as hecke
+
     srep = hecke.SeminormalRep(shape)
     op = args.op
     if op == "u":
@@ -300,7 +335,9 @@ def cmd_hecke(args) -> int:
 
 # suite -> (kwargs under --tiny, kwargs otherwise).  The full bounds are the
 # acceptance bounds; --r and --maxsize replace the r_max and max_boxes they
-# name there, and --seed replaces seed in both.
+# name there, and --seed replaces seed in both.  Its keys, in the order of
+# suites.ALL_SUITES, are also the choices of `verify`, so building the parser
+# does not load the suites.
 _SUITE_BOUNDS: dict[str, tuple[dict, dict]] = {
     "algebra": ({"seed": 0}, {"seed": 0}),
     "weights": ({}, {}),
@@ -316,6 +353,8 @@ _SUITE_BOUNDS: dict[str, tuple[dict, dict]] = {
 
 
 def cmd_verify(args) -> int:
+    import cactusgrowth.suites as suites
+
     for flag, bound in (("--r", args.r), ("--maxsize", args.maxsize)):
         if bound is not None and bound < 2:
             raise UsageError(f"{flag} must be at least 2, got {bound}")
@@ -357,6 +396,12 @@ def _check(label: str, got, expected) -> int:
 
 
 def _run_demo(name: str) -> int:
+    import cactusgrowth.cactus as cactus
+    import cactusgrowth.growth as growth
+    import cactusgrowth.oracles as oracles
+    import cactusgrowth.weights as weights
+    import cactusgrowth.words as words
+
     bad = 0
     if name == "bk":
         fix = _load_fixture("bk_example.json")
@@ -367,7 +412,7 @@ def _run_demo(name: str) -> int:
         bad += _check("Gelfand-Tsetlin pattern", gt, fix["gt_pattern"])
         dual = [list(p.parts) for p in oracles.dual_sequence(t, bound)]
         bad += _check("conjugate sequence", dual, fix["conjugate_sequence"])
-        ctx = CartanContext(GL, max(len(p) for p in fix["conjugate_sequence"]))
+        ctx = weights.CartanContext(weights.GL, max(len(p) for p in fix["conjugate_sequence"]))
         w = words.word_from_corners(ctx, [p + [0] * (ctx.rank - len(p)) for p in dual])
         moved = words.tau(w, 2)
         moved_seq = [[c for c in corner if c] for corner in moved.corners]
@@ -390,7 +435,7 @@ def _run_demo(name: str) -> int:
                    for d in fix["known_defects"]}
         for src, dst, (p, q) in (tuple(e) for e in fix["edges"]):
             w = words.syt_to_word(tabs[src].rows, rank=2)
-            out = growth.act(parse_cactus_word(f"s({p},{q})", 6), w)
+            out = growth.act(cactus.parse_cactus_word(f"s({p},{q})", 6), w)
             got = back[words.word_to_syt(out)]
             key = tuple(src) + tuple(dst) + (p, q)
             if key in defects:
@@ -405,7 +450,7 @@ def _run_demo(name: str) -> int:
     if name == "gl-window":
         fix = _load_fixture("gl_window.json")
         print("demo gl-window: GL window rows reproduced from the first row")
-        ctx = CartanContext(GL, fix["rank"])
+        ctx = weights.CartanContext(weights.GL, fix["rank"])
         top = words.word_from_corners(ctx, fix["rows"][0])
         win = growth.build_cylinder(top, len(fix["rows"]))
         got = [[list(c) for c in row] for row in win.rows]
@@ -415,7 +460,7 @@ def _run_demo(name: str) -> int:
         fix = _load_fixture("sp_window.json")
         print("demo ex-sp: symplectic cylindrical window (three printed values are")
         print("  internally inconsistent in the source; see known_defects in the fixture)")
-        ctx = CartanContext(SP, fix["rank"])
+        ctx = weights.CartanContext(weights.SP, fix["rank"])
         top = words.word_from_corners(ctx, fix["top_row"])
         win = growth.build_cylinder(top, 7)
         got = [[list(c) for c in row] for row in win.rows]
@@ -436,7 +481,7 @@ def _run_demo(name: str) -> int:
             [list(c) for c in growth.evacuation(top).corners],
             fix["evacuation_column_of_window"],
         )
-        crossed = growth.wall_cross(CactusGen(3, 6), win)
+        crossed = growth.wall_cross(cactus.CactusGen(3, 6), win)
         bad += _check(
             "wall crossing s(3,6) fixes the top row",
             [list(c) for c in crossed.row_word(0).corners],
@@ -444,7 +489,7 @@ def _run_demo(name: str) -> int:
         )
         bad += _check(
             "s(3,6) on the printed start word",
-            [list(c) for c in growth.act(parse_cactus_word("s(3,6)", 6), start).corners],
+            [list(c) for c in growth.act(cactus.parse_cactus_word("s(3,6)", 6), start).corners],
             fix["s36_on_printed_start"],
         )
         return bad
@@ -519,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_hecke)
 
     p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("suite", choices=tuple(suites.ALL_SUITES) + ("all",))
+    p.add_argument("suite", choices=tuple(_SUITE_BOUNDS) + ("all",))
     p.add_argument("--r", type=int)
     p.add_argument("--maxsize", type=int)
     p.add_argument("--tiny", action="store_true", help="small bounds for a quick smoke run")
@@ -538,6 +583,11 @@ _PARSER: Optional[argparse.ArgumentParser] = None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # Imported on every call, like the layers the handlers import, so that
+    # errors.DomainError is the base their errors derive from even after
+    # the package has been imported afresh in this process.
+    import cactusgrowth.errors as errors
+
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
@@ -549,7 +599,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DOMAIN_ERRORS as exc:
+    except errors.DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:  # also json.JSONDecodeError and ParseError

@@ -18,6 +18,7 @@ from itertools import combinations
 from operator import add, sub
 from typing import Iterable, Optional
 
+from .errors import DomainError, SizeLimit
 from .weights import GL, SL2, SP, CartanContext, ContextMismatch, weyl_orbit
 
 DEFAULT_SIZE_CAP = 10**6
@@ -27,12 +28,8 @@ class CyclicGraph(ValueError):
     """A raising map has a cycle, violating nilpotence."""
 
 
-class BadParameter(ValueError):
+class BadParameter(ValueError, DomainError):
     """Invalid constructor parameter."""
-
-
-class SizeLimit(RuntimeError):
-    """A tensor power exceeded the configured element cap."""
 
 
 class Crystal:
@@ -202,16 +199,23 @@ def tensor(b: Crystal, c: Crystal, size_cap: int = DEFAULT_SIZE_CAP) -> Crystal:
 
 
 def tensor_power(c: Crystal, r: int, size_cap: int = DEFAULT_SIZE_CAP) -> Crystal:
-    """B^(x)r, built one factor at a time.  Refused before any level is built
-    when r or |B|^r exceeds size_cap; the exponent is clipped so that |B|^r
-    is never formed when it is huge."""
+    """B^(x)r by repeated squaring: about 2 log2(r) products.  The tensor
+    rule is associative and element x (x) y is indexed x|C| + y, so every
+    bracketing gives the same labels, weights and e-maps as the left-nested
+    product 1 (x) B (x) ... (x) B.  Refused before any level is built when r
+    or |B|^r exceeds size_cap; the exponent is clipped so that |B|^r is
+    never formed when it is huge."""
     if r < 0:
         raise BadParameter("tensor power needs r >= 0")
     if r and (r > size_cap or c.n ** min(r, size_cap.bit_length() + 1) > size_cap):
         raise SizeLimit(f"tensor power {r} of a {c.n}-element crystal is over the cap of {size_cap}")
-    out = trivial_crystal(c.context)
-    for _ in range(r):
-        out = tensor(out, c, size_cap=size_cap)
+    out, square = trivial_crystal(c.context), c
+    while r:
+        if r & 1:
+            out = tensor(out, square, size_cap=size_cap)
+        r >>= 1
+        if r:  # a later bit needs it, so |square|^2 <= |B|^r
+            square = tensor(square, square, size_cap=size_cap)
     return out
 
 

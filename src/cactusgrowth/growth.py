@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cactus import CactusGen, CactusWord, act_word
+from .errors import DomainError
 from .weights import CartanContext, Corner, Weight, dominant, local_rule
 from .words import (
     HighestWeightWord,
@@ -38,7 +39,7 @@ from .words import (
 )
 
 
-class BadPath(ValueError):
+class BadPath(ValueError, DomainError):
     """A path through the cylinder is malformed or underdetermines it."""
 
 

@@ -28,11 +28,12 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .cactus import CactusWord, s_to_tau
+from .errors import DomainError
 from .oracles import StandardTableau, enumerate_syt
 from .qalgebra import LaurentPoly, QMatrix, RationalFunction, q_int
 
 
-class IndexOutOfRange(ValueError):
+class IndexOutOfRange(ValueError, DomainError):
     """Generator index outside 1..r-1 for the representation."""
 
 

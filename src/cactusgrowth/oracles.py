@@ -18,10 +18,11 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .errors import DomainError
 from .weights import Partition, conjugate, strip_check
 
 
-class StripViolation(ValueError):
+class StripViolation(ValueError, DomainError):
     """A partition sequence fails its horizontal/vertical strip condition."""
 
 

@@ -22,12 +22,14 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Mapping, Union
 
+from .errors import DomainError
 
-class DivisionByZero(ZeroDivisionError):
+
+class DivisionByZero(ZeroDivisionError, DomainError):
     """Division of a rational function by zero."""
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(ValueError, DomainError):
     """Matrix dimensions are incompatible for the requested operation."""
 
 

@@ -16,6 +16,8 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
+from .errors import DomainError
+
 GL = "GL"
 SL2 = "SL2"
 SP = "Sp"
@@ -28,7 +30,7 @@ Corner = tuple[int, ...]
 _LOCAL_RULE_CACHE = 4096
 
 
-class ContextMismatch(ValueError):
+class ContextMismatch(ValueError, DomainError):
     """Two weights or crystals from different Cartan contexts were combined."""
 
 

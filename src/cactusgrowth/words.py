@@ -16,9 +16,9 @@ calls, and in HighestWeightWord.corner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .crystal import Crystal, build_minuscule
+from .errors import DomainError
 from .weights import (
     GL,
     SL2,
@@ -33,8 +33,11 @@ from .weights import (
     weyl_orbit,
 )
 
+if TYPE_CHECKING:
+    from .crystal import Crystal
 
-class InvalidStep(ValueError):
+
+class InvalidStep(ValueError, DomainError):
     """A corner pair is not a valid minuscule step."""
 
 
@@ -74,6 +77,8 @@ class StepKind:
         return (1,) * k + (0,) * (ctx.rank - k)
 
     def crystal(self, ctx: CartanContext) -> Crystal:
+        from .crystal import build_minuscule
+
         if ctx.family == SL2:
             return build_minuscule(ctx, "sl2")
         if self.name == "exterior":
@@ -242,8 +247,41 @@ def word_to_json(w: HighestWeightWord) -> dict:
     }
 
 
+def is_corner_list(x) -> bool:
+    """A JSON list of corners, each a list of ints (bools excluded)."""
+    if not isinstance(x, list):
+        return False
+    for c in x:  # plain loops: this runs on every word a request reads
+        if not isinstance(c, list):
+            return False
+        for v in c:
+            if type(v) is not int:
+                return False
+    return True
+
+
+def check_word_json(obj) -> None:
+    """Refuse, with ValueError, a value of a word or window JSON object that
+    is present but of the wrong type: the context must be an object with a
+    string family and an int rank, the corners int corners, and the steps
+    (when not null) a list of strings.  Absent keys, and a payload that is
+    not an object, are not checked here."""
+    if not isinstance(obj, dict):
+        return
+    context = obj.get("context", {})
+    if not (isinstance(context, dict) and isinstance(context.get("family", ""), str)
+            and type(context.get("rank", 0)) is int):
+        raise ValueError("the context must be an object with a string family and an int rank")
+    if "corners" in obj and not is_corner_list(obj["corners"]):
+        raise ValueError("the corners must be a list of corners, each a list of ints")
+    steps = obj.get("steps")
+    if steps is not None and not (isinstance(steps, list) and all(isinstance(x, str) for x in steps)):
+        raise ValueError("the steps must be a list of strings")
+
+
 def word_from_json(obj: dict) -> HighestWeightWord:
-    ctx = CartanContext(obj["context"]["family"], int(obj["context"]["rank"]))
+    check_word_json(obj)
+    ctx = CartanContext(obj["context"]["family"], obj["context"]["rank"])
     steps = None
     if obj.get("steps"):
         steps = tuple(parse_step_kind(s) for s in obj["steps"])

@@ -1,9 +1,14 @@
+import importlib
 import json
+import time
 
 import pytest
 
 import cactusgrowth.cli as cli
+import cactusgrowth.growth as growth_module
+from cactusgrowth import suites
 from cactusgrowth.cli import build_parser, main
+from cactusgrowth.errors import DomainError
 
 
 def run(capsys, *argv):
@@ -369,3 +374,89 @@ def test_determinism(capsys):
     code1, out1, _ = run(capsys, "act", "--word", "s(2,5)", "--demo", "fig-cat-C")
     code2, out2, _ = run(capsys, "act", "--word", "s(2,5)", "--demo", "fig-cat-C")
     assert (code1, out1) == (code2, out2)
+
+
+# -- exit-code contract --------------------------------------------------------
+
+# the domain errors of the layers, with the builtin base each always had
+DOMAIN_ERRORS = [
+    ("words", "InvalidStep", ValueError),
+    ("weights", "ContextMismatch", ValueError),
+    ("crystal", "BadParameter", ValueError),
+    ("crystal", "SizeLimit", RuntimeError),
+    ("qalgebra", "DimensionMismatch", ValueError),
+    ("qalgebra", "DivisionByZero", ZeroDivisionError),
+    ("growth", "BadPath", ValueError),
+    ("hecke", "IndexOutOfRange", ValueError),
+    ("oracles", "StripViolation", ValueError),
+]
+
+
+@pytest.mark.parametrize("module, name, base", DOMAIN_ERRORS)
+def test_domain_errors_derive_from_domain_error(module, name, base):
+    cls = getattr(importlib.import_module(f"cactusgrowth.{module}"), name)
+    assert issubclass(cls, DomainError) and issubclass(cls, base)
+
+
+@pytest.mark.parametrize("module, name, base", DOMAIN_ERRORS)
+def test_every_domain_error_exits_3(capsys, monkeypatch, module, name, base):
+    cls = getattr(importlib.import_module(f"cactusgrowth.{module}"), name)
+
+    def refuse(*args):
+        raise cls("refused")
+
+    monkeypatch.setattr(growth_module, "act", refuse)
+    code, out, err = run(capsys, "act", "--word", "s(1,2)", "--demo", "fig-cat-A")
+    assert code == 3 and out == "" and err == "domain error: refused\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["evacuate", "--json", '{"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], [0, 1]]}'],  # InvalidStep
+    ["crystal", "dump", "--family", "GL", "--rank", "2", "--kind", "exterior:5"],  # BadParameter
+    ["--max-size", "100", "crystal", "decompose", "--family", "GL", "--rank", "2", "--r", "12"],  # SizeLimit
+    ["hecke", "matrix", "--shape", "3,2", "--op", "tau", "--i", "7"],  # IndexOutOfRange
+])
+def test_reachable_domain_errors_exit_3_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("domain error: ")
+
+
+def test_verify_choices_are_the_suites():
+    assert tuple(cli._SUITE_BOUNDS) == tuple(suites.ALL_SUITES)
+
+
+# -- word JSON types -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("payload", [
+    {"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], [1.9, 0], [1, 1]]},
+    {"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], [True, 0], [1, 1]]},
+    {"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], "10", [1, 1]]},
+    {"context": {"family": "GL", "rank": 2}, "corners": "[[0, 0]]"},
+    {"context": {"family": "GL", "rank": 2.7}, "corners": [[0, 0], [1, 0], [1, 1]]},
+    {"context": {"family": "GL", "rank": "2"}, "corners": [[0, 0], [1, 0], [1, 1]]},
+    {"context": {"family": "GL", "rank": True}, "corners": [[0], [1]]},
+    {"context": {"family": 1, "rank": 2}, "corners": [[0, 0], [1, 0]]},
+    {"context": None, "corners": [[0, 0], [1, 0]]},
+    {"context": {"family": "GL", "rank": 2}, "steps": "vector", "corners": [[0, 0], [1, 0], [1, 1]]},
+    {"context": {"family": "GL", "rank": 2}, "steps": [1, 2], "corners": [[0, 0], [1, 0], [1, 1]]},
+])
+def test_word_json_of_the_wrong_type_exit_2(capsys, payload):
+    code, out, err = run(capsys, "evacuate", "--json", json.dumps(payload))
+    assert_one_line_exit_2(code, out, err)
+    assert err.startswith("parse error: ")
+
+
+def test_word_json_with_null_steps_infers_them(capsys):
+    payload = {"context": {"family": "GL", "rank": 2}, "steps": None, "corners": [[0, 0], [1, 0], [1, 1]]}
+    code, out, _ = run(capsys, "evacuate", "--json", json.dumps(payload))
+    assert code == 0 and json.loads(out)["steps"] == ["vector", "vector"]
+
+
+def test_tensor_power_of_a_one_element_crystal_at_the_cap_is_quick(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "crystal", "decompose", "--family", "GL", "--rank", "2",
+                         "--kind", "exterior:2", "--r", "1000000")
+    assert time.perf_counter() - start < 2
+    assert code in (0, 3) and len((out + err).splitlines()) == 1

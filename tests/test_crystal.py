@@ -10,6 +10,7 @@ from cactusgrowth.crystal import (
     decompose,
     tensor,
     tensor_power,
+    trivial_crystal,
     weyl_orbit_weights,
 )
 from cactusgrowth.suites import check_crystal, check_morphism
@@ -252,10 +253,13 @@ def _reference_powers(c):
         e_maps = new_maps
 
 
-@pytest.mark.parametrize("ctx, kind, k", [
+POWER_CASES = [
     (GL2, "vector", 1), (GL3, "vector", 1), (GL4, "vector", 1), (GL4, "exterior", 2),
     (SP4, "vector", 1), (SP6, "vector", 1), (SL2, "sl2", 1),
-])
+]
+
+
+@pytest.mark.parametrize("ctx, kind, k", POWER_CASES)
 def test_tensor_power_equals_per_element_reference(ctx, kind, k):
     c = build_minuscule(ctx, kind, k)
     for r, (labels, weights, e_maps) in enumerate(_reference_powers(c)):
@@ -268,3 +272,16 @@ def test_tensor_power_equals_per_element_reference(ctx, kind, k):
             f = {y: x for x, y in m.items()}
             assert [power.eps(i, x) for x in range(power.n)] == [_chain_length(m, x) for x in range(power.n)]
             assert [power.phi(i, x) for x in range(power.n)] == [_chain_length(f, x) for x in range(power.n)]
+
+
+@pytest.mark.parametrize("ctx, kind, k", POWER_CASES)
+def test_tensor_power_by_squaring_equals_the_left_nested_product(ctx, kind, k):
+    c = build_minuscule(ctx, kind, k)
+    nested = trivial_crystal(ctx)
+    for r in range(13):
+        if c.n ** r > 4096:
+            break
+        power = tensor_power(c, r)
+        assert (power.labels, power.weights, power.e_maps) == (nested.labels, nested.weights, nested.e_maps)
+        assert (power._eps, power._phi) == (nested._eps, nested._phi)
+        nested = tensor(nested, c)
