@@ -11,7 +11,6 @@ first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -21,37 +20,50 @@ class BadParams(ValueError):
     """Relation parameters do not satisfy the relation's side condition."""
 
 
-@dataclass(frozen=True)
 class CactusGen:
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if not 1 <= self.p < self.q:
-            raise ValueError(f"generator needs 1 <= p < q, got ({self.p}, {self.q})")
+    def __init__(self, p: int, q: int):
+        if not 1 <= p < q:
+            raise ValueError(f"generator needs 1 <= p < q, got ({p}, {q})")
+        self.p = p
+        self.q = q
+
+    def __eq__(self, other):
+        return self.p == other.p and self.q == other.q if other.__class__ is CactusGen else NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q))
 
     def __str__(self) -> str:
         return f"s({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
 class TauGen:
-    i: int
+    __slots__ = ("i",)
 
-    def __post_init__(self):
-        if self.i < 1:
-            raise ValueError(f"tau index must be >= 1, got {self.i}")
+    def __init__(self, i: int):
+        if i < 1:
+            raise ValueError(f"tau index must be >= 1, got {i}")
+        self.i = i
 
 
-@dataclass(frozen=True)
 class CactusWord:
-    r: int
-    gens: tuple[CactusGen, ...]
+    __slots__ = ("r", "gens")
 
-    def __post_init__(self):
-        for g in self.gens:
-            if g.q > self.r:
-                raise ValueError(f"{g} out of bounds for r={self.r}")
+    def __init__(self, r: int, gens: tuple[CactusGen, ...]):
+        for g in gens:
+            if g.q > r:
+                raise ValueError(f"{g} out of bounds for r={r}")
+        self.r = r
+        self.gens = gens
+
+    def __eq__(self, other):
+        return (self.r == other.r and self.gens == other.gens
+                if other.__class__ is CactusWord else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.r, self.gens))
 
     def __mul__(self, other: "CactusWord") -> "CactusWord":
         if self.r != other.r:

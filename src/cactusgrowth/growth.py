@@ -22,7 +22,6 @@ benchmark's layer probe reads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cactus import CactusGen, CactusWord, act_word
@@ -164,14 +163,17 @@ def promotion_inverse(w: HighestWeightWord) -> HighestWeightWord:
 # -- rectangular diagrams and rectification ----------------------------------
 
 
-@dataclass(frozen=True)
 class RectDiagram:
     """Completed (m+1) x (n+1) grid; grid[i][j] is the corner at row i
     (top row 0), column j (left column 0)."""
 
-    grid: tuple[tuple[Corner, ...], ...]
-    top_steps: tuple[StepKind, ...]
-    left_steps: tuple[StepKind, ...]
+    __slots__ = ("grid", "top_steps", "left_steps")
+
+    def __init__(self, grid: tuple[tuple[Corner, ...], ...], top_steps: tuple[StepKind, ...],
+                 left_steps: tuple[StepKind, ...]):
+        self.grid = grid
+        self.top_steps = top_steps
+        self.left_steps = left_steps
 
     def bottom_row(self) -> tuple[Corner, ...]:
         return self.grid[-1]
@@ -213,7 +215,6 @@ def complete_rectangle(
 # -- cylindrical windows -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CylWindow:
     """Rows 0..depth-1 of a cylindrical growth diagram.
 
@@ -222,9 +223,12 @@ class CylWindow:
     sequence of row 0 rotating left once per row.
     """
 
-    context: CartanContext
-    steps: tuple[StepKind, ...]
-    rows: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("context", "steps", "rows")
+
+    def __init__(self, context: CartanContext, steps: tuple[StepKind, ...], rows: tuple[tuple[Corner, ...], ...]):
+        self.context = context
+        self.steps = steps
+        self.rows = rows
 
     @property
     def r(self) -> int:

@@ -23,14 +23,16 @@ diagonal with entries q^(2 c(i+1)).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .cactus import CactusWord, s_to_tau
 from .errors import DomainError
 from .oracles import StandardTableau, enumerate_syt
 from .qalgebra import LaurentPoly, QMatrix, RationalFunction, q_int
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class IndexOutOfRange(ValueError, DomainError):
@@ -143,6 +145,8 @@ def tau_matrix(rep: SeminormalRep, i: int) -> QMatrix:
 def jm_matrix(rep: SeminormalRep, i: int, power: Union[int, Fraction] = 1) -> QMatrix:
     """J_i^power, diagonal with entries q^(2 c(i+1) power); power may be a
     half-integer.  J_0 is the identity."""
+    from fractions import Fraction
+
     power = Fraction(power)
     if power not in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)):
         raise ValueError(f"unsupported power {power}")
@@ -184,6 +188,8 @@ def t_squared_inverse_sqrt(rep: SeminormalRep) -> QMatrix:
 
 def tau_via_jm(rep: SeminormalRep, i: int) -> QMatrix:
     """tau_i = J_(i-1)^(1/2) t_i J_i^(-1/2): the unitarised factorization."""
+    from fractions import Fraction
+
     half = Fraction(1, 2)
     return jm_matrix(rep, i - 1, half) * t_matrix(rep, i) * jm_matrix(rep, i, -half)
 

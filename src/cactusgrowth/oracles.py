@@ -13,7 +13,6 @@ dual semistandard means strict rows and weak columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
@@ -29,13 +28,11 @@ class StripViolation(ValueError, DomainError):
 # -- standard tableaux -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class StandardTableau:
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(r) for r in rows)
-        object.__setattr__(self, "rows", rows)
+        self.rows = rows = tuple(tuple(r) for r in rows)
         n = sum(len(r) for r in rows)
         seen = sorted(v for r in rows for v in r)
         if seen != list(range(1, n + 1)):
@@ -48,6 +45,12 @@ class StandardTableau:
                 raise ValueError("shape must be a partition")
             if any(rows[i][j] >= rows[i + 1][j] for j in range(len(rows[i + 1]))):
                 raise ValueError("columns must increase")
+
+    def __eq__(self, other):
+        return self.rows == other.rows if other.__class__ is StandardTableau else NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows)
 
     @property
     def n(self) -> int:
@@ -218,15 +221,13 @@ def dual_knuth(t: StandardTableau, i: int) -> StandardTableau:
 # -- semistandard tableaux and Gelfand-Tsetlin patterns ----------------------
 
 
-@dataclass(frozen=True)
 class SemistandardTableau:
     """Weak rows, strict columns."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(r) for r in rows)
-        object.__setattr__(self, "rows", rows)
+        self.rows = rows = tuple(tuple(r) for r in rows)
         for r in rows:
             if any(r[i] > r[i + 1] for i in range(len(r) - 1)):
                 raise ValueError("rows must weakly increase")
@@ -235,6 +236,12 @@ class SemistandardTableau:
                 raise ValueError("shape must be a partition")
             if any(rows[i][j] >= rows[i + 1][j] for j in range(len(rows[i + 1]))):
                 raise ValueError("columns must strictly increase")
+
+    def __eq__(self, other):
+        return self.rows == other.rows if other.__class__ is SemistandardTableau else NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows)
 
     def shape(self) -> Partition:
         return Partition(len(r) for r in self.rows)
@@ -342,22 +349,26 @@ def enumerate_ssyt(shape: tuple[int, ...], max_entry: int) -> Iterator[Semistand
 # -- noncrossing perfect matchings -------------------------------------------
 
 
-@dataclass(frozen=True)
 class Matching:
     """A noncrossing perfect matching on 1..r, stored as sorted pairs."""
 
-    r: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("r", "pairs")
 
     def __init__(self, r: int, pairs: Iterable[tuple[int, int]]):
-        norm = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "pairs", norm)
+        self.r = r
+        self.pairs = norm = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
         points = sorted(x for p in norm for x in p)
         if points != list(range(1, r + 1)):
             raise ValueError(f"not a perfect matching on 1..{r}")
         if not _noncrossing(norm):
             raise ValueError(f"matching {norm} has a crossing")
+
+    def __eq__(self, other):
+        return (self.r == other.r and self.pairs == other.pairs
+                if other.__class__ is Matching else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.r, self.pairs))
 
     def __str__(self) -> str:
         return " ".join(f"({a},{b})" for a, b in self.pairs)

@@ -11,7 +11,6 @@ check_hecke on every shape and by `hecke check` on one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import cactus as cact
@@ -23,11 +22,13 @@ from .weights import GL, SL2, SP, CartanContext, dom, dominant, weyl_orbit
 from .words import StepKind, enumerate_hw_words
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("name", "checks", "failures")
+
+    def __init__(self, name: str, checks: int = 0, failures: list[str] | None = None):
+        self.name = name
+        self.checks = checks
+        self.failures = [] if failures is None else failures
 
     def ok(self, condition: bool, message: str) -> None:
         self.checks += 1

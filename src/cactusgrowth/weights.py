@@ -11,7 +11,6 @@ the benchmark's layer probes call Weight, dom_w and is_dominant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable, Sequence
@@ -34,18 +33,25 @@ class ContextMismatch(ValueError, DomainError):
     """Two weights or crystals from different Cartan contexts were combined."""
 
 
-@dataclass(frozen=True)
 class CartanContext:
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.rank < 1:
+    def __init__(self, family: str, rank: int):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.family == SL2 and self.rank != 1:
+        if family == SL2 and rank != 1:
             raise ValueError("SL2 has rank 1")
+        self.family = family
+        self.rank = rank
+
+    def __eq__(self, other):
+        return (self.family == other.family and self.rank == other.rank
+                if other.__class__ is CartanContext else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
 
     def index_set(self) -> range:
         """Dynkin node labels: 1..n-1 for GL(n), 1..n for Sp(2n), {1} for SL2."""
@@ -80,14 +86,21 @@ class CartanContext:
         return f"Sp({2 * self.rank})"
 
 
-@dataclass(frozen=True)
 class Weight:
-    context: CartanContext
-    coords: tuple[int, ...]
+    __slots__ = ("context", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.context.rank:
-            raise ValueError(f"coords {self.coords} do not match rank {self.context.rank}")
+    def __init__(self, context: CartanContext, coords: tuple[int, ...]):
+        if len(coords) != context.rank:
+            raise ValueError(f"coords {coords} do not match rank {context.rank}")
+        self.context = context
+        self.coords = coords
+
+    def __eq__(self, other):
+        return (self.context == other.context and self.coords == other.coords
+                if other.__class__ is Weight else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.context, self.coords))
 
     def __add__(self, other: "Weight") -> "Weight":
         _same_context(self, other)
@@ -166,11 +179,10 @@ def weyl_orbit(family: str, c: Sequence[int]) -> frozenset[Corner]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
 class Partition:
     """A partition; trailing zeros are stripped so equality ignores them."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(parts)
@@ -180,7 +192,13 @@ class Partition:
             raise ValueError(f"{parts} is not weakly decreasing")
         if parts and parts[-1] < 0:
             raise ValueError(f"{parts} has negative parts")
-        object.__setattr__(self, "parts", parts)
+        self.parts = parts
+
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is Partition else NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
 
     def size(self) -> int:
         return sum(self.parts)

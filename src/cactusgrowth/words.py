@@ -15,7 +15,6 @@ calls, and in HighestWeightWord.corner.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import DomainError
@@ -41,7 +40,6 @@ class InvalidStep(ValueError, DomainError):
     """A corner pair is not a valid minuscule step."""
 
 
-@dataclass(frozen=True)
 class StepKind:
     """Descriptor of one minuscule tensor factor.
 
@@ -50,12 +48,20 @@ class StepKind:
     'sl2' is the SL2 doublet.
     """
 
-    name: str
-    k: int = 1
+    __slots__ = ("name", "k")
 
-    def __post_init__(self):
-        if self.name not in ("vector", "exterior", "sl2"):
-            raise ValueError(f"unknown step kind {self.name!r}")
+    def __init__(self, name: str, k: int = 1):
+        if name not in ("vector", "exterior", "sl2"):
+            raise ValueError(f"unknown step kind {name!r}")
+        self.name = name
+        self.k = k
+
+    def __eq__(self, other):
+        return (self.name == other.name and self.k == other.k
+                if other.__class__ is StepKind else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.name, self.k))
 
     def orbit(self, ctx: CartanContext) -> frozenset[tuple[int, ...]]:
         return weyl_orbit(ctx.family, self.fundamental_weight(ctx))
@@ -133,26 +139,33 @@ def _fmt(c: Sequence[int]) -> str:
     return "[" + ",".join(map(str, c)) + "]"
 
 
-@dataclass(frozen=True)
 class HighestWeightWord:
     """Corner-sequence encoding of a highest weight word."""
 
-    context: CartanContext
-    steps: tuple[StepKind, ...]
-    corners: tuple[tuple[int, ...], ...]
+    __slots__ = ("context", "steps", "corners")
 
-    def __post_init__(self):
-        r = len(self.steps)
-        if len(self.corners) != r + 1:
-            raise ValueError(f"{r} steps need {r + 1} corners, got {len(self.corners)}")
-        if any(len(c) != self.context.rank for c in self.corners):
-            raise ValueError(f"corners {self.corners} do not match rank {self.context.rank}")
-        if any(c != 0 for c in self.corners[0]):
+    def __init__(self, context: CartanContext, steps: tuple[StepKind, ...], corners: tuple[tuple[int, ...], ...]):
+        r = len(steps)
+        if len(corners) != r + 1:
+            raise ValueError(f"{r} steps need {r + 1} corners, got {len(corners)}")
+        if any(len(c) != context.rank for c in corners):
+            raise ValueError(f"corners {corners} do not match rank {context.rank}")
+        if any(c != 0 for c in corners[0]):
             raise InvalidStep("a highest weight word starts at the zero weight")
         for k in range(r):
-            a, b = self.corners[k], self.corners[k + 1]
-            if not step_is_valid(self.context, self.steps[k], a, b):
-                raise InvalidStep(f"corner {k}: {_fmt(a)} -> {_fmt(b)} is not a valid {self.steps[k]} step")
+            a, b = corners[k], corners[k + 1]
+            if not step_is_valid(context, steps[k], a, b):
+                raise InvalidStep(f"corner {k}: {_fmt(a)} -> {_fmt(b)} is not a valid {steps[k]} step")
+        self.context = context
+        self.steps = steps
+        self.corners = corners
+
+    def __eq__(self, other):
+        return (self.context == other.context and self.steps == other.steps and self.corners == other.corners
+                if other.__class__ is HighestWeightWord else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.context, self.steps, self.corners))
 
     @property
     def r(self) -> int:
@@ -263,15 +276,16 @@ def is_corner_list(x) -> bool:
 def check_word_json(obj) -> None:
     """Refuse, with ValueError, a value of a word or window JSON object that
     is present but of the wrong type: the context must be an object with a
-    string family and an int rank, the corners int corners, and the steps
-    (when not null) a list of strings.  Absent keys, and a payload that is
-    not an object, are not checked here."""
+    string family and an int rank (both present), the corners int corners,
+    and the steps (when not null) a list of strings.  Absent top-level keys,
+    and a payload that is not an object, are not checked here."""
     if not isinstance(obj, dict):
         return
-    context = obj.get("context", {})
-    if not (isinstance(context, dict) and isinstance(context.get("family", ""), str)
-            and type(context.get("rank", 0)) is int):
-        raise ValueError("the context must be an object with a string family and an int rank")
+    if "context" in obj:
+        context = obj["context"]
+        if not (isinstance(context, dict) and isinstance(context.get("family"), str)
+                and type(context.get("rank")) is int):
+            raise ValueError("the context must be an object with a string family and an int rank")
     if "corners" in obj and not is_corner_list(obj["corners"]):
         raise ValueError("the corners must be a list of corners, each a list of ints")
     steps = obj.get("steps")

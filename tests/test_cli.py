@@ -448,6 +448,15 @@ def test_word_json_of_the_wrong_type_exit_2(capsys, payload):
     assert err.startswith("parse error: ")
 
 
+@pytest.mark.parametrize("command", [["act", "--word", "s(1,2)"], ["evacuate"], ["tau", "--i", "1"]])
+@pytest.mark.parametrize("context", [{"family": "GL"}, {"rank": 2}])
+def test_word_json_context_missing_a_key_exit_2(capsys, command, context):
+    payload = {"context": context, "corners": [[0, 0], [1, 0]]}
+    code, out, err = run(capsys, *command, "--json", json.dumps(payload))
+    assert_one_line_exit_2(code, out, err)
+    assert err.startswith("parse error: ")
+
+
 def test_word_json_with_null_steps_infers_them(capsys):
     payload = {"context": {"family": "GL", "rank": 2}, "steps": None, "corners": [[0, 0], [1, 0], [1, 1]]}
     code, out, _ = run(capsys, "evacuate", "--json", json.dumps(payload))

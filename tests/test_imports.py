@@ -34,15 +34,36 @@ def test_import_cli_loads_no_layer():
     assert loaded_by("import cactusgrowth.cli") == {"cactusgrowth", "cactusgrowth.cli"}
 
 
-def test_cold_act_loads_only_the_layers_it_runs():
-    proc = python("-X", "importtime", "-m", "cactusgrowth.cli", "act", "--word", "s(1,6) s(2,6)", "--json", WORD)
+def imported_by_command(*argv: str) -> set[str]:
+    """Every module a fresh `python -m cactusgrowth.cli *argv` imports, site's included."""
+    proc = python("-X", "importtime", "-m", "cactusgrowth.cli", *argv)
     assert proc.returncode == 0, proc.stderr
     # -X importtime writes one "import time: self | cumulative | name" line per module
-    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_cold_act_loads_only_the_layers_it_runs():
+    loaded = imported_by_command("act", "--word", "s(1,6) s(2,6)", "--json", WORD)
     assert {m for m in loaded if m.startswith("cactusgrowth")} == {
         "cactusgrowth", "cactusgrowth.errors", "cactusgrowth.weights", "cactusgrowth.words",
         "cactusgrowth.cactus", "cactusgrowth.growth",
     }
+    # value classes are plain __slots__ classes: no dataclass machinery
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_cold_hecke_matrix_loads_no_dataclasses_or_fractions():
+    loaded = imported_by_command("hecke", "matrix", "--shape", "3,2", "--op", "tau", "--i", "2")
+    assert not {"dataclasses", "fractions"} & loaded
+
+
+def test_no_submodule_imports_dataclasses():
+    package = os.path.join(SRC, "cactusgrowth")
+    names = sorted(f[:-3] for f in os.listdir(package) if f.endswith(".py") and f != "__init__.py")
+    imports = "; ".join(f"import cactusgrowth.{name}" for name in names)
+    proc = python("-c", f"{imports}; import sys; print('dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_exit_codes_hold_after_the_package_is_imported_afresh():
