@@ -189,22 +189,26 @@ def cmd_validate(args) -> int:
         raise ValueError("a window or word must be an object with a context of a family and a rank, "
                          "and rows or corners")
     words.check_word_json(payload)
-    if "rows" in payload:
+    is_window = "rows" in payload
+    if is_window:
         rows = payload["rows"]
         if not (isinstance(rows, list) and rows and all(words.is_corner_list(row) for row in rows)):
             raise ValueError("window rows must be a non-empty list of rows of int corners")
         ctx = weights.CartanContext(context["family"], context["rank"])
         if any(len(c) != ctx.rank for row in rows for c in row):
             raise ValueError(f"window corners must have {ctx.rank} coordinates")
-        top = words.word_from_corners(ctx, rows[0])
-        win = growth.CylWindow(ctx, top.steps, tuple(tuple(tuple(c) for c in row) for row in rows))
-        ok = growth.validate_window(win)
-    else:
-        try:
+    # a step that is not minuscule, in the word or in any row of the window,
+    # makes the input invalid (exit 1), not a domain error
+    try:
+        if is_window:
+            top = words.word_from_corners(ctx, rows[0])
+            win = growth.CylWindow(ctx, top.steps, tuple(tuple(tuple(c) for c in row) for row in rows))
+            ok = growth.validate_window(win)
+        else:
             words.word_from_json(payload)
             ok = True
-        except words.InvalidStep:
-            ok = False
+    except words.InvalidStep:
+        ok = False
     print("valid" if ok else "invalid")
     return EXIT_OK if ok else EXIT_VERIFY
 

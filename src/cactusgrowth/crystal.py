@@ -1,16 +1,19 @@
 """Finite normal crystals as explicit labelled graphs.
 
 A crystal is a finite set with partial injective nilpotent raising maps e_i
-and a weight per element; f_i, eps_i and phi_i are derived.  Every crystal
-is validated when it is built, in time linear in its size: e_i must be
-injective, acyclic and raise the weight by the simple root on every edge.
-The same pass walks each maximal i-chain once and stores eps_i and phi_i of
-every element as one list per i, so later queries are lookups.  Tensor
-products follow the rule e_i(x (x) y) = e_i(x) (x) y when phi_i(x) >=
-eps_i(y), else x (x) e_i(y); a product's eps/phi come from its own chains,
-not from the factors.  Constructors cover the minuscule crystals used by
-the local rules: GL(n) exterior powers of the vector representation, the
-SL2 doublet, and the Sp(2n) vector representation.
+and a weight per element; f_i, eps_i and phi_i are derived.  A crystal
+built by the public constructor is validated, in time linear in its size:
+e_i must be injective, acyclic and raise the weight by the simple root on
+every edge.  The same pass walks each maximal i-chain once and stores eps_i
+and phi_i of every element as one list per i, so later queries are lookups.
+Tensor products follow the rule e_i(x (x) y) = e_i(x) (x) y when phi_i(x)
+>= eps_i(y), else x (x) e_i(y), with eps_i(x (x) y) = eps_i(x) + max(0,
+eps_i(y) - phi_i(x)) and phi_i(x (x) y) = phi_i(y) + max(0, phi_i(x) -
+eps_i(y)).  A product of two crystals is again a crystal, so tensor fills
+its tables by these rules and skips validation.  Constructors cover the
+minuscule crystals used by the local rules: GL(n) exterior powers of the
+vector representation, the SL2 doublet, and the Sp(2n) vector
+representation.
 """
 from __future__ import annotations
 
@@ -62,6 +65,19 @@ class Crystal:
         for i in index_set:
             self._eps[i], self._phi[i] = self._chains(i)
             self._check_edge_weights(i)
+
+    @classmethod
+    def _trusted(cls, context: CartanContext, labels: tuple[str, ...], e_maps: dict[int, dict[int, int]],
+                 element_weights: tuple[tuple[int, ...], ...], eps: dict[int, list[int]],
+                 phi: dict[int, list[int]]) -> Crystal:
+        """A crystal from tables that are consistent by construction, without
+        validation: only tensor calls it, on factors that are crystals."""
+        c = cls.__new__(cls)
+        c.context, c.labels, c.n, c.weights = context, labels, len(labels), element_weights
+        c.e_maps = e_maps
+        c._f_maps = {i: {y: x for x, y in m.items()} for i, m in e_maps.items()}
+        c._eps, c._phi = eps, phi
+        return c
 
     def _chains(self, i: int) -> tuple[list[int], list[int]]:
         """eps_i and phi_i of every element, from one walk down each maximal
@@ -172,47 +188,60 @@ def _number_chains(step: dict[int, int], back: dict[int, int], table: list[int])
 
 
 def tensor(b: Crystal, c: Crystal, size_cap: int = DEFAULT_SIZE_CAP) -> Crystal:
-    """Tensor product crystal on the set B x C."""
+    """Tensor product crystal on the set B x C; element x (x) y is x|C| + y."""
     if b.context != c.context:
         raise ContextMismatch(f"{b.context} vs {c.context}")
     n = b.n * c.n
     if n > size_cap:
         raise SizeLimit(f"tensor product would have {n} elements (cap {size_cap})")
     cn = c.n
-    labels = [f"{lx}(x){ly}" for lx in b.labels for ly in c.labels]
-    wts = [tuple(map(add, wx, wy)) for wx in b.weights for wy in c.weights]
+    labels = tuple(f"{lx}(x){ly}" for lx in b.labels for ly in c.labels)
+    wts = tuple(tuple(map(add, wx, wy)) for wx in b.weights for wy in c.weights)
     e_maps: dict[int, dict[int, int]] = {}
+    eps_maps: dict[int, list[int]] = {}
+    phi_maps: dict[int, list[int]] = {}
     for i in b.context.index_set():
-        phi_b, eb = b._phi[i], b.e_maps[i]
-        eps_c, ec = c._eps[i], c.e_maps[i]
+        eps_b, phi_b, eb = b._eps[i], b._phi[i], b.e_maps[i]
+        eps_c, phi_c, ec = c._eps[i], c._phi[i], c.e_maps[i]
         m: dict[int, int] = {}
+        eps: list[int] = []
+        phi: list[int] = []
         for x in range(b.n):
-            px, ex, base = phi_b[x], eb.get(x), x * cn
+            ex, px, up, base = eps_b[x], phi_b[x], eb.get(x), x * cn
             for y in range(cn):
-                if px >= eps_c[y]:
-                    if ex is not None:
-                        m[base + y] = ex * cn + y
-                else:  # eps_c[y] > 0, so y has an e_i image
+                ey = eps_c[y]
+                if px >= ey:
+                    eps.append(ex)
+                    phi.append(phi_c[y] + px - ey)
+                    if up is not None:
+                        m[base + y] = up * cn + y
+                else:  # ey > 0, so y has an e_i image
+                    eps.append(ex + ey - px)
+                    phi.append(phi_c[y])
                     m[base + y] = base + ec[y]
-        e_maps[i] = m
-    return Crystal(b.context, labels, e_maps, wts)
+        e_maps[i], eps_maps[i], phi_maps[i] = m, eps, phi
+    return Crystal._trusted(b.context, labels, e_maps, wts, eps_maps, phi_maps)
 
 
 def tensor_power(c: Crystal, r: int, size_cap: int = DEFAULT_SIZE_CAP) -> Crystal:
-    """B^(x)r by repeated squaring: about 2 log2(r) products.  The tensor
-    rule is associative and element x (x) y is indexed x|C| + y, so every
-    bracketing gives the same labels, weights and e-maps as the left-nested
-    product 1 (x) B (x) ... (x) B.  Refused before any level is built when r
-    or |B|^r exceeds size_cap; the exponent is clipped so that |B|^r is
-    never formed when it is huge."""
+    """B^(x)r by repeated squaring: about 2 log2(r) products, none of them
+    with a trivial factor.  The tensor rule is associative and element
+    x (x) y is indexed x|C| + y, so every bracketing gives the same weights
+    and e-maps as the left-nested product B (x) ... (x) B, and labels are
+    the factors' labels joined by "(x)" (B^1 is B itself; B^0 is the
+    one-element crystal labelled "1").  Refused before any level is built
+    when r or |B|^r exceeds size_cap; the exponent is clipped so that |B|^r
+    is never formed when it is huge."""
     if r < 0:
         raise BadParameter("tensor power needs r >= 0")
     if r and (r > size_cap or c.n ** min(r, size_cap.bit_length() + 1) > size_cap):
         raise SizeLimit(f"tensor power {r} of a {c.n}-element crystal is over the cap of {size_cap}")
-    out, square = trivial_crystal(c.context), c
+    if not r:
+        return trivial_crystal(c.context)
+    out, square = None, c
     while r:
         if r & 1:
-            out = tensor(out, square, size_cap=size_cap)
+            out = square if out is None else tensor(out, square, size_cap=size_cap)
         r >>= 1
         if r:  # a later bit needs it, so |square|^2 <= |B|^r
             square = tensor(square, square, size_cap=size_cap)

@@ -16,8 +16,9 @@ wall_cross reaches the same word through a cylindrical window and shares
 nothing with act_gen beyond the local rule, so it is the independent check.
 
 Corners are plain int tuples.  The fast paths fill cells with
-weights.local_rule; rectangles and window validation use the checked rule
-words.fill_cell.  Weight appears only in triangle_rows, whose rows the
+weights.local_rule; rectangles use the checked rule words.fill_cell, and
+window validation infers each edge's step kind once and checks every cell
+against it.  Weight appears only in triangle_rows, whose rows the
 benchmark's layer probe reads.
 """
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .words import (
     HighestWeightWord,
     InvalidStep,
     StepKind,
-    cell_is_valid,
     fill_cell,
     infer_step_kind,
     word_from_corners,
@@ -259,19 +259,45 @@ def build_cylinder(w: HighestWeightWord, depth: int) -> CylWindow:
 
 
 def validate_window(win: CylWindow) -> bool:
-    """Independent cell-by-cell check of every unit square and boundary."""
+    """Independent check of every unit square and boundary, with the verdict
+    of words.cell_is_valid on each cell.
+
+    Each distinct edge is inferred once.  A cell kappa -> lam -> nu,
+    kappa -> mu -> nu of dominant corners is valid when all four steps are
+    minuscule, the local rule gives mu from lam and lam from mu, and
+    opposite edges carry the same factor: kind(kappa -> mu) ==
+    kind(lam -> nu) and kind(mu -> nu) == kind(kappa -> lam).
+    """
     ctx, r = win.context, win.r
+    fam = ctx.family
     shape = win.rows[0][-1]
     for row in win.rows:
         if len(row) != r + 1 or any(c != 0 for c in row[0]) or row[-1] != shape:
             return False
-        if not all(dominant(ctx.family, c) for c in row):
-            return False
+    if not all(dominant(fam, c) for c in {c for row in win.rows for c in row}):
+        return False
+    kinds: dict[tuple[Corner, Corner], Optional[StepKind]] = {}
+
+    def kind(a: Corner, b: Corner) -> Optional[StepKind]:
+        """infer_step_kind, or None where the step is not minuscule."""
+        if (a, b) not in kinds:
+            try:
+                kinds[a, b] = infer_step_kind(ctx, a, b)
+            except InvalidStep:
+                kinds[a, b] = None
+        return kinds[a, b]
+
     for above, below in zip(win.rows, win.rows[1:]):
         # row i holds gamma(i, i + t) at t; the cell at (i, i + t) has kappa =
         # below[t - 1], lam = above[t], nu = above[t + 1] and mu = below[t]
         for t in range(1, r):
-            if not cell_is_valid(ctx, below[t - 1], above[t], above[t + 1], below[t]):
+            kappa, lam, nu, mu = below[t - 1], above[t], above[t + 1], below[t]
+            left, top, bottom, right = kind(kappa, lam), kind(lam, nu), kind(kappa, mu), kind(mu, nu)
+            if left is None or top is None or bottom is None or right is None:
+                return False
+            if bottom != top or right != left:
+                return False
+            if local_rule(fam, kappa, lam, nu) != mu or local_rule(fam, kappa, mu, nu) != lam:
                 return False
     return True
 

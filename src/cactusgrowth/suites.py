@@ -351,9 +351,11 @@ def check_crystal(r_max: int = 5, catalan_r: int = 10) -> SuiteReport:
                     c.eps(i, y) <= b.phi(i, x) for i in b.context.index_set()
                 )
                 rep.ok(t.is_highest_weight(idx) == predicted, f"hw characterization fails at {idx}")
-    # epsilon/phi of a tensor pair from the factor statistics
+    # epsilon/phi of a tensor pair from the factor statistics, against the
+    # chains that the validating constructor walks in the product graph
     for b, c in ((gl2, gl2), (sl2, sl2), (gl3, gl3), (sp4, sp4)):
-        t = crys.tensor(b, c)
+        product = crys.tensor(b, c)
+        t = crys.Crystal(product.context, product.labels, product.e_maps, product.weights)
         for x in range(b.n):
             for y in range(c.n):
                 idx = x * c.n + y

@@ -105,6 +105,14 @@ def test_cylinder_and_validate(capsys, tmp_path):
     assert code == 1 and "invalid" in out
 
 
+def test_validate_window_with_a_bad_top_row_is_invalid(capsys, tmp_path):
+    # [0,0] -> [2,0] is not a GL(2) step: the same verdict as for a bad lower row
+    win = {"context": {"family": "GL", "rank": 2}, "rows": [[[0, 0], [2, 0], [2, 1]], [[0, 0], [1, 0], [2, 1]]]}
+    f = tmp_path / "win.json"
+    f.write_text(json.dumps(win))
+    assert run(capsys, "validate", "--input", str(f)) == (1, "invalid\n", "")
+
+
 def test_ascii_format(capsys):
     code, out, _ = run(capsys, "--format", "ascii", "act", "--word", "", "--demo", "ex-sp")
     assert code == 0

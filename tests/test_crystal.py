@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import cactusgrowth.crystal as crystal_module
@@ -15,6 +17,7 @@ from cactusgrowth.crystal import (
 )
 from cactusgrowth.suites import check_crystal, check_morphism
 from cactusgrowth.weights import CartanContext, ContextMismatch
+from cactusgrowth.words import SL2_STEP, VECTOR, enumerate_hw_words, exterior
 
 GL2 = CartanContext("GL", 2)
 GL3 = CartanContext("GL", 3)
@@ -229,10 +232,12 @@ def _chain_length(m, x):
 
 def _reference_powers(c):
     """Labels, weights and e-maps of c^(x)r for r = 0, 1, ... from the
-    per-element definitions: eps and phi by walking chains, the tensor rule
-    element by element."""
+    per-element definitions: the one-element crystal "1" at r = 0, c itself
+    at r = 1, then eps and phi by walking chains and the tensor rule element
+    by element."""
     index_set = c.context.index_set()
-    labels, weights, e_maps = ["1"], [(0,) * c.context.rank], {i: {} for i in index_set}
+    yield ["1"], [(0,) * c.context.rank], {i: {} for i in index_set}
+    labels, weights, e_maps = list(c.labels), list(c.weights), {i: dict(c.e_maps[i]) for i in index_set}
     c_eps = {i: [_chain_length(c.e_maps[i], y) for y in range(c.n)] for i in index_set}
     while True:
         yield labels, weights, e_maps
@@ -284,4 +289,40 @@ def test_tensor_power_by_squaring_equals_the_left_nested_product(ctx, kind, k):
         power = tensor_power(c, r)
         assert (power.labels, power.weights, power.e_maps) == (nested.labels, nested.weights, nested.e_maps)
         assert (power._eps, power._phi) == (nested._eps, nested._phi)
-        nested = tensor(nested, c)
+        nested = c if r == 0 else tensor(nested, c)
+
+
+def _tables(c):
+    return c.e_maps, c._f_maps, c._eps, c._phi
+
+
+@pytest.mark.parametrize("ctx, kind, k", POWER_CASES)
+def test_trusted_products_equal_a_validated_rebuild(ctx, kind, k):
+    # tensor fills eps/phi by the tensor rule and skips validation; the
+    # validating constructor walks the chains of the same graph
+    c = build_minuscule(ctx, kind, k)
+    powers = [tensor_power(c, r) for r in range(13) if c.n ** r <= 4096]
+    products = [tensor(powers[a], powers[b])
+                for a in range(len(powers)) for b in range(len(powers)) if c.n ** (a + b) <= 4096]
+    for t in powers + products:
+        assert _tables(Crystal(t.context, t.labels, t.e_maps, t.weights)) == _tables(t)
+
+
+CENSUS_CASES = [
+    # the crystals of the benchmark's one-shot requests
+    (GL2, "vector", 1, 5), (GL2, "vector", 1, 7), (GL3, "vector", 1, 4), (GL3, "vector", 1, 5),
+    (SL2, "sl2", 1, 6), (SL2, "sl2", 1, 8), (SP4, "vector", 1, 3), (SP4, "vector", 1, 4),
+    *[(GL4, "exterior", 2, r) for r in range(5)],
+    *[(SP6, "vector", 1, r) for r in range(4)],
+]
+
+
+@pytest.mark.parametrize("ctx, kind, k, r", CENSUS_CASES)
+def test_census_counts_highest_weight_words(ctx, kind, k, r):
+    # one component per highest-weight word, grouped by the word's final corner
+    step = exterior(k) if kind == "exterior" else SL2_STEP if kind == "sl2" else VECTOR
+    finals = Counter(w.corners[-1] for w in enumerate_hw_words(ctx, (step,) * r))
+    c = build_minuscule(ctx, kind, k)
+    census = decompose(c, r)
+    assert {wt: count for wt, (count, _) in census.items()} == dict(finals)
+    assert sum(count * size for count, size in census.values()) == c.n ** r

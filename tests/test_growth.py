@@ -1,3 +1,6 @@
+import functools
+from collections import Counter
+
 import pytest
 
 from cactusgrowth.cactus import CactusGen, CactusWord, parse_cactus_word, reduce_to_s1q, word as cword
@@ -18,8 +21,17 @@ from cactusgrowth.growth import (
     wall_cross,
 )
 from cactusgrowth.oracles import enumerate_syt, evacuation_oracle, partitions_of, promotion_oracle, syt_from_string
-from cactusgrowth.weights import CartanContext
-from cactusgrowth.words import SL2_STEP, VECTOR, enumerate_hw_words, exterior, syt_to_word, word_from_corners, word_to_syt
+from cactusgrowth.weights import CartanContext, dominant
+from cactusgrowth.words import (
+    SL2_STEP,
+    VECTOR,
+    cell_is_valid,
+    enumerate_hw_words,
+    exterior,
+    syt_to_word,
+    word_from_corners,
+    word_to_syt,
+)
 
 GL2 = CartanContext("GL", 2)
 GL3 = CartanContext("GL", 3)
@@ -235,6 +247,50 @@ def test_validate_window_rejects_every_single_corner_corruption():
                     row = win.rows[i][:t] + (new,) + win.rows[i][t + 1:]
                     bad = CylWindow(win.context, win.steps, win.rows[:i] + (row,) + win.rows[i + 1:])
                     assert not validate_window(bad), (win.rows, i, t, new)
+
+
+# the corrupted windows share most of their cells
+_cell_is_valid = functools.lru_cache(maxsize=None)(cell_is_valid)
+
+
+def _cell_by_cell(win):
+    """The window check as words.cell_is_valid states it: the boundary
+    conditions, then both orientations of the local rule on every cell."""
+    ctx, r = win.context, win.r
+    shape = win.rows[0][-1]
+    for row in win.rows:
+        if len(row) != r + 1 or any(c != 0 for c in row[0]) or row[-1] != shape:
+            return False
+        if not all(dominant(ctx.family, c) for c in row):
+            return False
+    return all(_cell_is_valid(ctx, below[t - 1], above[t], above[t + 1], below[t])
+               for above, below in zip(win.rows, win.rows[1:]) for t in range(1, r))
+
+
+def _corruptions(win):
+    """win with one corner, in any row, replaced by another corner of win."""
+    values = {c for row in win.rows for c in row}
+    for i, row in enumerate(win.rows):
+        for t, old in enumerate(row):
+            for new in values - {old}:
+                yield CylWindow(win.context, win.steps, win.rows[:i] + (row[:t] + (new,) + row[t + 1:],) + win.rows[i + 1:])
+
+
+def test_validate_window_verdict_equals_the_cell_by_cell_check():
+    gl4 = CartanContext("GL", 4)
+    mixed = (VECTOR, exterior(2), exterior(3), VECTOR)
+    # the standard windows hold GL(4) wedge-square and Sp(4) vector; add SL2,
+    # factors that differ from step to step, and one-row windows
+    extra = [build_cylinder(w, depth)
+             for ctx, kinds in (*[(SL2, (SL2_STEP,) * r) for r in range(7)], (gl4, mixed))
+             for w in enumerate_hw_words(ctx, kinds) for depth in (1, 3)]
+    verdicts = Counter()
+    for win in [*_standard_windows(), *extra]:
+        for w in (win, *_corruptions(win)):
+            got = validate_window(w)
+            assert got == _cell_by_cell(w), w.rows
+            verdicts[got] += 1
+    assert min(verdicts.values()) > 1000, verdicts
 
 
 def test_validate_window_rejects_rows_of_the_wrong_length():
