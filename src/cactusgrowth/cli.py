@@ -4,6 +4,9 @@ Subcommands: act, evacuate, promote, tau, cylinder, validate, crystal,
 oracle, hecke, verify, demo.  Words and windows travel as JSON; --format
 ascii prints aligned grids of bracketed partitions instead.
 
+Options take `--name value` or `--name=value`, exact names only; global
+options come before the subcommand, and `<subcommand> --help` lists its own.
+
 Composition convention: in a cactus word the rightmost generator acts
 first, so `act --word "s(1,6) s(2,6)"` applies s(2,6) and then s(1,6).
 
@@ -19,9 +22,10 @@ error, 3 domain error (invalid step, dimension mismatch, ...).
 # which calls back into importlib's Python code.
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -88,13 +92,6 @@ def _read_word(args) -> HighestWeightWord:
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argument errors raise UsageError, so main reports them on one line."""
-
-    def error(self, message: str):
-        raise UsageError(message)
 
 
 def _emit_word(w: HighestWeightWord, fmt: str) -> None:
@@ -220,7 +217,7 @@ def cmd_crystal(args) -> int:
 
     ctx = weights.CartanContext(args.family, args.rank)
     kind = words.parse_step_kind(args.kind)
-    c = kind.crystal(ctx)
+    c = kind.crystal(ctx, size_cap=args.max_size)
     if args.crystal_cmd == "dump":
         print(json.dumps(crystal.crystal_to_json(c)))
         return EXIT_OK
@@ -501,89 +498,133 @@ def _run_demo(name: str) -> int:
 
 
 # -- argument parsing ---------------------------------------------------------
+# One table drives parsing and help: a command is (handler, about, positional
+# (dest, choices) or None, options), an option name -> (dest, type, default,
+# required, choices, about), with type bool for a flag.
 
 
-def _word_io_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="path to a word JSON file")
-    p.add_argument("--json", help="inline word JSON")
-    p.add_argument("--demo", help="named demo input (fig-cat-A..E, ex-sp, ex-sp-top, gl-window)")
+def _opt(name: str, typ: type = str, default=None, required: bool = False, choices=None, about: str = "") -> tuple:
+    return name, (name[2:].replace("-", "_"), typ, default, required, choices, about)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="cactusgrowth", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--format", choices=("json", "ascii"), default="json")
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized property sampling")
-    ap.add_argument("--max-size", type=int, default=10**6, dest="max_size",
-                    help="element cap for materialized crystals, Hecke bases and cylindrical windows")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+_WORD_IO = (_opt("--input", about="path to a word JSON file"), _opt("--json", about="inline word JSON"),
+            _opt("--demo", about="named demo input (fig-cat-A..E, ex-sp, ex-sp-top, gl-window)"))
+_COMMANDS = {
+    "act": (cmd_act, "apply a cactus word to a highest weight word", None, dict([
+        _opt("--word", required=True, about='cactus word, e.g. "s(1,6) s(2,6)" (rightmost acts first)'),
+        *_WORD_IO])),
+    "evacuate": (cmd_evacuate, "apply the full prefix reversal s(1,r)", None,
+                 dict([*_WORD_IO, _opt("--show-diagram", bool, False)])),
+    "promote": (cmd_promote, "apply promotion s(1,r) s(2,r)", None, dict(_WORD_IO)),
+    "tau": (cmd_tau, "apply the local move at one position", None,
+            dict([_opt("--i", int, required=True), *_WORD_IO])),
+    "cylinder": (cmd_cylinder, "build a cylindrical window from a top row", None,
+                 dict([_opt("--depth", int, required=True), *_WORD_IO])),
+    "validate": (cmd_validate, "validate a word or window JSON file cell by cell", None,
+                 dict([_opt("--input", required=True)])),
+    "crystal": (cmd_crystal, "materialized crystal utilities", ("crystal_cmd", ("dump", "decompose")), dict([
+        _opt("--family", required=True, choices=("GL", "SL2", "Sp")), _opt("--rank", int, required=True),
+        _opt("--kind", default="vector", about="vector | exterior:k | sl2"), _opt("--r", int, 2)])),
+    "oracle": (cmd_oracle, "classical tableau algorithms", ("oracle_cmd", ("evacuate", "promote", "bk", "dk")),
+               dict([_opt("--tableau", about="rows as digits, e.g. 134/256"),
+                     _opt("--json", about="rows as a JSON array"), _opt("--i", int)])),
+    "hecke": (cmd_hecke, "seminormal representation tools", ("hecke_cmd", ("check", "matrix")), dict([
+        _opt("--shape", required=True, about="comma-separated partition, e.g. 3,2,1"),
+        _opt("--op", default="tau", choices=("u", "t", "tau", "jm", "sigma")), _opt("--i", int, 1)])),
+    "verify": (cmd_verify, "run invariant suites", ("suite", (*_SUITE_BOUNDS, "all")), dict([
+        _opt("--r", int), _opt("--maxsize", int),
+        _opt("--tiny", bool, False, about="small bounds for a quick smoke run")])),
+    "demo": (cmd_demo, "reproduce the built-in worked examples",
+             ("name", ("bk", "fig-cat", "gl-window", "ex-sp", "all")), {}),
+}
+_TOP = (None, __doc__, ("cmd", tuple(_COMMANDS)), dict([
+    _opt("--format", default="json", choices=("json", "ascii")),
+    _opt("--seed", int, 0, about="seed for randomized property sampling"),
+    _opt("--max-size", int, 10**6,
+         about="element cap for materialized crystals, Hecke bases and cylindrical windows")]))
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
-    p = sub.add_parser("act", help="apply a cactus word to a highest weight word")
-    p.add_argument("--word", required=True, help='cactus word, e.g. "s(1,6) s(2,6)" (rightmost acts first)')
-    _word_io_options(p)
-    p.set_defaults(fn=cmd_act)
 
-    p = sub.add_parser("evacuate", help="apply the full prefix reversal s(1,r)")
-    _word_io_options(p)
-    p.add_argument("--show-diagram", action="store_true")
-    p.set_defaults(fn=cmd_evacuate)
+def _is_option(tok: str, opts: dict) -> bool:
+    """argparse's rule: "-", a negative number or a token with a space in it
+    is a value, unless it is `--name=...` for a known name."""
+    return tok[:1] == "-" and len(tok) > 1 and (
+        tok.partition("=")[0] in opts or (" " not in tok and not _NEGATIVE_NUMBER(tok)))
 
-    p = sub.add_parser("promote", help="apply promotion s(1,r) s(2,r)")
-    _word_io_options(p)
-    p.set_defaults(fn=cmd_promote)
 
-    p = sub.add_parser("tau", help="apply the local move at one position")
-    p.add_argument("--i", type=int, required=True)
-    _word_io_options(p)
-    p.set_defaults(fn=cmd_tau)
+def _convert(name: str, typ: type, choices: Optional[tuple], text):
+    if typ is int:
+        try:
+            text = int(text)
+        except ValueError:
+            raise UsageError(f"argument {name}: invalid int value: {text!r}") from None
+    if choices and text not in choices:
+        raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+    return text
 
-    p = sub.add_parser("cylinder", help="build a cylindrical window from a top row")
-    p.add_argument("--depth", type=int, required=True)
-    _word_io_options(p)
-    p.set_defaults(fn=cmd_cylinder)
 
-    p = sub.add_parser("validate", help="validate a word or window JSON file cell by cell")
-    p.add_argument("--input", required=True)
-    p.set_defaults(fn=cmd_validate)
+def _help(cmd: Optional[str]) -> str:
+    _, about, pos, opts = _COMMANDS[cmd] if cmd else _TOP
+    usage, lines = [f"usage: cactusgrowth{' ' + cmd if cmd else ''} [-h]"], []
+    for name, (dest, typ, _, required, choices, text) in opts.items():
+        arg = name if typ is bool else f"{name} {'{' + ','.join(choices) + '}' if choices else dest.upper()}"
+        usage.append(arg if required else f"[{arg}]")
+        lines.append(f"  {arg:<24} {text}".rstrip())
+    if pos:
+        usage.append("{%s}%s" % (",".join(pos[1]), "" if cmd else " ..."))
+    lines += [] if cmd else [f"  {c:<24} {spec[1]}" for c, spec in _COMMANDS.items()]
+    return "\n".join([" ".join(usage), "", about.strip(), "", *lines])
 
-    p = sub.add_parser("crystal", help="materialized crystal utilities")
-    p.add_argument("crystal_cmd", choices=("dump", "decompose"))
-    p.add_argument("--family", required=True, choices=("GL", "SL2", "Sp"))
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--kind", default="vector", help="vector | exterior:k | sl2")
-    p.add_argument("--r", type=int, default=2)
-    p.set_defaults(fn=cmd_crystal)
 
-    p = sub.add_parser("oracle", help="classical tableau algorithms")
-    p.add_argument("oracle_cmd", choices=("evacuate", "promote", "bk", "dk"))
-    p.add_argument("--tableau", help="rows as digits, e.g. 134/256")
-    p.add_argument("--json", help="rows as a JSON array")
-    p.add_argument("--i", type=int)
-    p.set_defaults(fn=cmd_oracle)
+def _parse_args(argv: Optional[list[str]] = None) -> SimpleNamespace:
+    """A fresh namespace from the table, with argparse's values and messages."""
+    argv = sys.argv[1:] if argv is None else argv
+    cmd, (fn, _, pos, opts) = None, _TOP
+    values = {"cmd": None, **{spec[0]: spec[2] for spec in opts.values()}}
+    extras, k = [], 0
+    while k < len(argv):
+        tok, k = argv[k], k + 1
+        if tok in ("-h", "--help"):
+            print(_help(cmd))
+            raise SystemExit(EXIT_OK)
+        name, eq, text = tok.partition("=")
+        option = _is_option(tok, opts)
+        if (name not in opts) if option else (pos is None):  # an unknown option, or a value with no taker
+            extras.append(tok)
+        elif not option:
+            values[pos[0]] = _convert(pos[0], str, pos[1], tok)
+            pos = None
+            if cmd is None:  # the command: the rest of argv is its own
+                cmd, (fn, _, pos, opts) = tok, _COMMANDS[tok]
+                values.update({spec[0]: spec[2] for spec in opts.values()}, fn=fn)
+        else:
+            dest, typ, _, _, choices, _ = opts[name]
+            if typ is bool and eq:
+                raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
+            if typ is bool:
+                text = True
+            elif not eq:
+                if k == len(argv) or _is_option(argv[k], opts):
+                    raise UsageError(f"argument {name}: expected one argument")
+                text, k = argv[k], k + 1
+            values[dest] = _convert(name, typ, choices, text)
+    # a required option has no default, so None means it was not given
+    missing = [pos[0]] if pos else []
+    missing += [name for name, spec in opts.items() if spec[3] and values[spec[0]] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
-    p = sub.add_parser("hecke", help="seminormal representation tools")
-    p.add_argument("hecke_cmd", choices=("check", "matrix"))
-    p.add_argument("--shape", required=True, help="comma-separated partition, e.g. 3,2,1")
-    p.add_argument("--op", choices=("u", "t", "tau", "jm", "sigma"), default="tau")
-    p.add_argument("--i", type=int, default=1)
-    p.set_defaults(fn=cmd_hecke)
 
-    p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("suite", choices=tuple(_SUITE_BOUNDS) + ("all",))
-    p.add_argument("--r", type=int)
-    p.add_argument("--maxsize", type=int)
-    p.add_argument("--tiny", action="store_true", help="small bounds for a quick smoke run")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("demo", help="reproduce the built-in worked examples")
-    p.add_argument("name", choices=("bk", "fig-cat", "gl-window", "ex-sp", "all"))
-    p.set_defaults(fn=cmd_demo)
-
-    return ap
+def build_parser() -> SimpleNamespace:
+    return SimpleNamespace(parse_args=_parse_args)
 
 
 # Built by the first call to main and reused by every later one; parse_args
-# fills a fresh Namespace each time, so no value carries over between calls.
-_PARSER: Optional[argparse.ArgumentParser] = None
+# fills a fresh namespace each time, so no value carries over between calls.
+_PARSER: Optional[SimpleNamespace] = None
 
 
 def main(argv: Optional[list[str]] = None) -> int:

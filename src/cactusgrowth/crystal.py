@@ -21,10 +21,8 @@ from itertools import combinations
 from operator import add, sub
 from typing import Iterable, Optional
 
-from .errors import DomainError, SizeLimit
+from .errors import DEFAULT_SIZE_CAP, DomainError, SizeLimit
 from .weights import GL, SL2, SP, CartanContext, ContextMismatch, weyl_orbit
-
-DEFAULT_SIZE_CAP = 10**6
 
 
 class CyclicGraph(ValueError):
@@ -248,6 +246,14 @@ def tensor_power(c: Crystal, r: int, size_cap: int = DEFAULT_SIZE_CAP) -> Crysta
     return out
 
 
+def _check_size(context: CartanContext, size: int, size_cap: int) -> None:
+    """Refuse a crystal of at least `size` elements whose weights would hold
+    more than size_cap coordinates (|B| x rank)."""
+    if size * context.rank > size_cap:
+        raise SizeLimit(f"a rank-{context.rank} crystal of at least {size} elements is over the cap of "
+                        f"{size_cap} (|B| x rank)")
+
+
 def trivial_crystal(context: CartanContext) -> Crystal:
     return Crystal(context, ("1",), {}, ((0,) * context.rank,))
 
@@ -279,23 +285,32 @@ def decompose(c: Crystal, r: int, size_cap: int = DEFAULT_SIZE_CAP) -> dict[tupl
     return out
 
 
-def build_minuscule(context: CartanContext, which: str, k: int = 1) -> Crystal:
+def build_minuscule(context: CartanContext, which: str, k: int = 1, size_cap: int = DEFAULT_SIZE_CAP) -> Crystal:
     """Constructors for the supported minuscule crystals.
 
     which: 'vector' (GL(n) or Sp(2n)), 'exterior' with 1 <= k <= n (GL(n)),
-    or 'sl2' (the two-element SL2 crystal).
+    or 'sl2' (the two-element SL2 crystal).  Refused before anything is
+    built when |B| x rank exceeds size_cap, |B| being C(n, k), 2n or 2.
     """
     fam = context.family
     n = context.rank
     if which == "sl2" or fam == SL2:
         if fam != SL2 or which not in ("sl2", "vector"):
             raise BadParameter(f"{which!r} needs an SL2 context")
+        _check_size(context, 2, size_cap)
         return Crystal(context, ("+", "-"), {1: {1: 0}}, ((1,), (-1,)))
     if fam == GL and which == "vector":
         which, k = "exterior", 1
     if fam == GL and which == "exterior":
         if not 0 <= k <= n:
             raise BadParameter(f"exterior power k={k} out of range for GL({n})")
+        m = min(k, n - k)
+        size = 1  # C(n - m + j, j) for j = 1..m ends at C(n, k); it only grows, so stop once over the cap
+        for j in range(1, m + 1):
+            if size * n > size_cap:
+                break
+            size = size * (n - m + j) // j
+        _check_size(context, size, size_cap)
         subsets = list(combinations(range(1, n + 1), k))
         index = {s: j for j, s in enumerate(subsets)}
         labels = ["".join(str(a) for a in s) for s in subsets]
@@ -310,6 +325,7 @@ def build_minuscule(context: CartanContext, which: str, k: int = 1) -> Crystal:
             e_maps[i] = m
         return Crystal(context, labels, e_maps, wts)
     if fam == SP and which == "vector":
+        _check_size(context, 2 * n, size_cap)
         labels = [str(a) for a in range(1, n + 1)] + [f"-{a}" for a in range(n, 0, -1)]
         wts = [tuple(1 if b == a else 0 for b in range(1, n + 1)) for a in range(1, n + 1)]
         wts += [tuple(-1 if b == a else 0 for b in range(1, n + 1)) for a in range(n, 0, -1)]

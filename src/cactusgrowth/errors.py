@@ -9,6 +9,11 @@ loading the layers that raise them.
 """
 
 
+# The default element cap for crystals, Hecke bases and cylindrical windows
+# (the CLI's --max-size).
+DEFAULT_SIZE_CAP = 10**6
+
+
 class DomainError(Exception):
     """A request that parses but is refused by the mathematics."""
 

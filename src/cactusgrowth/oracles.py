@@ -46,6 +46,13 @@ class StandardTableau:
             if any(rows[i][j] >= rows[i + 1][j] for j in range(len(rows[i + 1]))):
                 raise ValueError("columns must increase")
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> StandardTableau:
+        """A tableau whose rows are known to be standard, built without the checks."""
+        t = object.__new__(cls)
+        t.rows = rows
+        return t
+
     def __eq__(self, other):
         return self.rows == other.rows if other.__class__ is StandardTableau else NotImplemented
 
@@ -113,23 +120,28 @@ def count_syt(shape: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def enumerate_syt(shape: tuple[int, ...]) -> tuple[StandardTableau, ...]:
-    """All standard tableaux of the given shape, by recursive corner removal."""
+    """All standard tableaux of the given shape, grown box by box: the
+    tableaux of each shape inside it with k boxes are those with k - 1 boxes
+    with k added at a corner.  They come in the order of recursive corner
+    removal: by the row of the largest entry, top row first, then likewise
+    for the rest."""
     shape = tuple(s for s in shape if s)
-    n = sum(shape)
-    if n == 0:
-        return (StandardTableau(()),)
-    out = []
-    for i in range(len(shape)):
-        if shape[i] and (i == len(shape) - 1 or shape[i] > shape[i + 1]):
-            smaller = list(shape)
-            smaller[i] -= 1
-            for t in enumerate_syt(tuple(s for s in smaller if s)):
-                rows = [list(r) for r in t.rows]
-                while len(rows) <= i:
-                    rows.append([])
-                rows[i].append(n)
-                out.append(StandardTableau(tuple(tuple(r) for r in rows)))
-    return tuple(out)
+    level: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {(): [()]}
+    for k in range(1, sum(shape) + 1):
+        grown = {}
+        for mu in level:
+            for i in range(min(len(mu) + 1, len(shape))):
+                part = mu[i] if i < len(mu) else 0
+                if part < shape[i] and (i == 0 or mu[i - 1] > part):
+                    grown[mu[:i] + (part + 1,) + mu[i + 1:]] = []
+        for nu, tableaux in grown.items():
+            for i in range(len(nu)):
+                if i == len(nu) - 1 or nu[i] > nu[i + 1]:  # a corner: k sits there
+                    mu = nu[:i] + (nu[i] - 1,) + nu[i + 1:] if nu[i] > 1 else nu[:i]
+                    tableaux += [rows[:i] + (rows[i] + (k,),) + rows[i + 1:] if i < len(rows) else rows + ((k,),)
+                                 for rows in level[mu]]
+        level = grown
+    return tuple(map(StandardTableau._trusted, level[shape]))
 
 
 def _slide_hole(grid: dict[tuple[int, int], int], hole: tuple[int, int]) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .errors import DomainError
+from .errors import DEFAULT_SIZE_CAP, DomainError
 from .weights import (
     GL,
     SL2,
@@ -82,14 +82,14 @@ class StepKind:
             raise InvalidStep(f"exterior power {k} out of range for {ctx}")
         return (1,) * k + (0,) * (ctx.rank - k)
 
-    def crystal(self, ctx: CartanContext) -> Crystal:
+    def crystal(self, ctx: CartanContext, size_cap: int = DEFAULT_SIZE_CAP) -> Crystal:
         from .crystal import build_minuscule
 
         if ctx.family == SL2:
-            return build_minuscule(ctx, "sl2")
+            return build_minuscule(ctx, "sl2", size_cap=size_cap)
         if self.name == "exterior":
-            return build_minuscule(ctx, "exterior", self.k)
-        return build_minuscule(ctx, "vector")
+            return build_minuscule(ctx, "exterior", self.k, size_cap=size_cap)
+        return build_minuscule(ctx, "vector", size_cap=size_cap)
 
     def __str__(self) -> str:
         if self.name == "exterior":

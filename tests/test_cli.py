@@ -145,9 +145,15 @@ def test_crystal_dump_and_decompose(capsys):
     # a one-element factor: |B|^r = 1, but r alone is over the cap
     ["crystal", "decompose", "--family", "GL", "--rank", "2", "--kind", "exterior:2", "--r", "1000000000"],
     ["--max-size", "100", "crystal", "decompose", "--family", "GL", "--rank", "2", "--r", "12"],
+    # the base crystal B alone is over the cap (|B| x rank): refused before it is built
+    ["--max-size", "100", "crystal", "dump", "--family", "GL", "--rank", "24", "--kind", "exterior:12"],
+    ["crystal", "decompose", "--family", "GL", "--rank", "40", "--kind", "exterior:20", "--r", "1"],
+    ["crystal", "dump", "--family", "Sp", "--rank", "100000"],
 ])
 def test_crystal_power_over_the_size_cap(capsys, argv):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("domain error: ")
 
@@ -254,6 +260,16 @@ def test_hecke_shape_over_the_size_cap(capsys):
     assert code == 3 and len(err.splitlines()) == 1
 
 
+def test_hecke_matrix_of_a_long_row_is_quick(capsys):
+    # 1000 boxes, one standard tableau: the basis is enumerated without recursion
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hecke", "matrix", "--shape", "1000", "--i", "1")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "basis: " + "".join(map(str, range(1, 1001)))
+    assert out.splitlines()[1:] == ["[ 1 ]"]
+
+
 def test_hecke_shape_within_the_size_cap(capsys):
     code, out, _ = run(capsys, "hecke", "matrix", "--shape", "3,2")
     assert code == 0 and out.startswith("basis: 123/45 ")
@@ -333,6 +349,130 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         main(list(argv))
     capsys.readouterr()
     assert len(builds) == 1
+
+
+# Recorded from the argparse parser that the table replaced: each argv's
+# namespace without fn (the global options at their defaults left out), and
+# each refused argv's one stderr line.
+WORD = '{"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], [1, 0]]}'
+GLOBAL_DEFAULTS = {"format": "json", "seed": 0, "max_size": 1000000}
+PARSED = [
+    (["act", "--word", "s(1,6) s(2,6)", "--json", WORD],
+     {"cmd": "act", "word": "s(1,6) s(2,6)", "input": None, "json": WORD, "demo": None}),
+    (["--format", "ascii", "act", "--word", "", "--demo", "ex-sp"],
+     {"format": "ascii", "cmd": "act", "word": "", "input": None, "json": None, "demo": "ex-sp"}),
+    (["act", "--word=s(1,2)=x", "--input", "-"],
+     {"cmd": "act", "word": "s(1,2)=x", "input": "-", "json": None, "demo": None}),
+    (["act", "--word", "a", "--demo", "x", "--word", "b"],
+     {"cmd": "act", "word": "b", "input": None, "json": None, "demo": "x"}),
+    (["--format=ascii", "--seed", "7", "--max-size", "10", "evacuate", "--demo", "ex-sp", "--show-diagram"],
+     {"format": "ascii", "seed": 7, "max_size": 10, "cmd": "evacuate", "input": None, "json": None, "demo": "ex-sp",
+      "show_diagram": True}),
+    (["evacuate", "--input", "w.json"],
+     {"cmd": "evacuate", "input": "w.json", "json": None, "demo": None, "show_diagram": False}),
+    (["evacuate", "--json", "-1.5"],
+     {"cmd": "evacuate", "input": None, "json": "-1.5", "demo": None, "show_diagram": False}),
+    (["promote", "--json={}"],
+     {"cmd": "promote", "input": None, "json": "{}", "demo": None}),
+    (["--format", "json", "--format", "ascii", "promote", "--demo", "ex-sp"],
+     {"format": "ascii", "cmd": "promote", "input": None, "json": None, "demo": "ex-sp"}),
+    (["tau", "--i", "2", "--input", "w.json"],
+     {"cmd": "tau", "i": 2, "input": "w.json", "json": None, "demo": None}),
+    (["tau", "--i=-1", "--json", "[]"],
+     {"cmd": "tau", "i": -1, "input": None, "json": "[]", "demo": None}),
+    (["tau", "--json", WORD, "--i", "+3"],
+     {"cmd": "tau", "i": 3, "input": None, "json": WORD, "demo": None}),
+    (["cylinder", "--depth", "-3", "--json", WORD],
+     {"cmd": "cylinder", "depth": -3, "input": None, "json": WORD, "demo": None}),
+    (["cylinder", "--depth", "0", "--demo", "ex-sp-top"],
+     {"cmd": "cylinder", "depth": 0, "input": None, "json": None, "demo": "ex-sp-top"}),
+    (["validate", "--input", "win.json"],
+     {"cmd": "validate", "input": "win.json"}),
+    (["crystal", "dump", "--family", "Sp", "--rank", "2"],
+     {"cmd": "crystal", "crystal_cmd": "dump", "family": "Sp", "rank": 2, "kind": "vector", "r": 2}),
+    (["crystal", "--family", "SL2", "--rank", "1", "--kind", "sl2", "--r", "6", "decompose"],
+     {"cmd": "crystal", "crystal_cmd": "decompose", "family": "SL2", "rank": 1, "kind": "sl2", "r": 6}),
+    (["crystal", "--family=GL", "decompose", "--rank", "3", "--r=-2", "--kind", "exterior:2"],
+     {"cmd": "crystal", "crystal_cmd": "decompose", "family": "GL", "rank": 3, "kind": "exterior:2", "r": -2}),
+    (["oracle", "evacuate", "--tableau", "134/256"],
+     {"cmd": "oracle", "oracle_cmd": "evacuate", "tableau": "134/256", "json": None, "i": None}),
+    (["oracle", "--i", "2", "bk", "--tableau", "1112/23/4"],
+     {"cmd": "oracle", "oracle_cmd": "bk", "tableau": "1112/23/4", "json": None, "i": 2}),
+    (["oracle", "dk", "--json", "[[1, 2], [3]]", "--i", "-4"],
+     {"cmd": "oracle", "oracle_cmd": "dk", "tableau": None, "json": "[[1, 2], [3]]", "i": -4}),
+    (["oracle", "promote"],
+     {"cmd": "oracle", "oracle_cmd": "promote", "tableau": None, "json": None, "i": None}),
+    (["hecke", "check", "--shape", "3,2,1"],
+     {"cmd": "hecke", "hecke_cmd": "check", "shape": "3,2,1", "op": "tau", "i": 1}),
+    (["hecke", "--shape", "2,1", "matrix", "--op", "tau", "--i", "2"],
+     {"cmd": "hecke", "hecke_cmd": "matrix", "shape": "2,1", "op": "tau", "i": 2}),
+    (["hecke", "matrix", "--shape=3,2", "--op=sigma"],
+     {"cmd": "hecke", "hecke_cmd": "matrix", "shape": "3,2", "op": "sigma", "i": 1}),
+    (["--max-size", "-5", "hecke", "matrix", "--shape", "2,1"],
+     {"max_size": -5, "cmd": "hecke", "hecke_cmd": "matrix", "shape": "2,1", "op": "tau", "i": 1}),
+    (["verify", "all", "--tiny"],
+     {"cmd": "verify", "suite": "all", "r": None, "maxsize": None, "tiny": True}),
+    (["verify", "--r", "5", "--maxsize", "7", "cactus"],
+     {"cmd": "verify", "suite": "cactus", "r": 5, "maxsize": 7, "tiny": False}),
+    (["verify", "hecke", "--tiny", "--r=3", "--maxsize", "-2"],
+     {"cmd": "verify", "suite": "hecke", "r": 3, "maxsize": -2, "tiny": True}),
+    (["demo", "all"],
+     {"cmd": "demo", "name": "all"}),
+    (["--seed", "3", "demo", "fig-cat"],
+     {"seed": 3, "cmd": "demo", "name": "fig-cat"}),
+]
+REFUSED = [
+    ([], "usage error: the following arguments are required: cmd"),
+    (["--format", "ascii"], "usage error: the following arguments are required: cmd"),
+    (["act"], "usage error: the following arguments are required: --word"),
+    (["act", "extra"], "usage error: the following arguments are required: --word"),
+    (["hecke", "--shape", "2,1"], "usage error: the following arguments are required: hecke_cmd"),
+    (["crystal"], "usage error: the following arguments are required: crystal_cmd, --family, --rank"),
+    (["demo", "-x"], "usage error: the following arguments are required: name"),
+    (["act", "--word", "x", "--demo", "y", "extra"], "usage error: unrecognized arguments: extra"),
+    (["verify", "all", "cactus"], "usage error: unrecognized arguments: cactus"),
+    (["--bogus", "act", "--word", "x", "--bogus2=3"], "usage error: unrecognized arguments: --bogus --bogus2=3"),
+    (["act", "--format", "ascii", "--word", "x"], "usage error: unrecognized arguments: --format ascii"),
+    (["verify", "all", "--tiny=1"], "usage error: argument --tiny: ignored explicit argument '1'"),
+    (["cylinder", "--depth", "x", "--demo", "y"], "usage error: argument --depth: invalid int value: 'x'"),
+    (["--seed", "1.5", "demo", "all"], "usage error: argument --seed: invalid int value: '1.5'"),
+    (["crystal", "dump", "--family", "B", "--rank", "2"],
+     "usage error: argument --family: invalid choice: 'B' (choose from 'GL', 'SL2', 'Sp')"),
+    (["hecke", "matrix", "--shape", "2,1", "--op", "v"],
+     "usage error: argument --op: invalid choice: 'v' (choose from 'u', 't', 'tau', 'jm', 'sigma')"),
+    (["frobnicate"],
+     "usage error: argument cmd: invalid choice: 'frobnicate' (choose from 'act', 'evacuate', 'promote', 'tau', "
+     "'cylinder', 'validate', 'crystal', 'oracle', 'hecke', 'verify', 'demo')"),
+    (["demo", "-1"],
+     "usage error: argument name: invalid choice: '-1' (choose from 'bk', 'fig-cat', 'gl-window', 'ex-sp', 'all')"),
+    (["act", "--word", "-x", "--demo", "y"], "usage error: argument --word: expected one argument"),
+    (["act", "--word"], "usage error: argument --word: expected one argument"),
+    (["--max-size", "--seed", "act"], "usage error: argument --max-size: expected one argument"),
+]
+
+
+def test_parser_table_matches_the_recorded_argparse_results(capsys):
+    for argv, expected in PARSED:
+        ns = vars(build_parser().parse_args(list(argv)))
+        assert ns.pop("fn") is getattr(cli, f"cmd_{ns['cmd']}")
+        assert ns == {**GLOBAL_DEFAULTS, **expected}, argv
+    for argv, line in REFUSED:
+        assert run(capsys, *argv) == (2, "", line + "\n"), argv
+
+
+def test_options_take_exact_names_only(capsys):
+    # argparse also took an unambiguous prefix (--dep for --depth); the table does not
+    code, _, err = run(capsys, "cylinder", "--dep", "3", "--demo", "ex-sp-top")
+    assert code == 2 and err == "usage error: the following arguments are required: --depth\n"
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_of_each_subcommand(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0].startswith(f"usage: cactusgrowth {command} ")
+    for name in cli._COMMANDS[command][3]:
+        assert name in out
 
 
 def test_verify_tiny(capsys):

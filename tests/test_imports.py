@@ -50,6 +50,8 @@ def test_cold_act_loads_only_the_layers_it_runs():
     }
     # value classes are plain __slots__ classes: no dataclass machinery
     assert not {"dataclasses", "inspect"} & loaded
+    # arguments are parsed from the cli module's own table, not by argparse
+    assert not {"argparse", "gettext", "locale"} & loaded
 
 
 def test_cold_hecke_matrix_loads_no_dataclasses_or_fractions():

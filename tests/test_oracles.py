@@ -47,6 +47,37 @@ def test_enumerate_syt_counts():
     assert count_syt((10, 10, 10)) == 7_646_001_090
 
 
+def recursive_syt(shape):
+    """Reference: remove the corner holding n, in each row from the top,
+    and recurse on the smaller shape."""
+    n = sum(shape)
+    if n == 0:
+        return [()]
+    out = []
+    for i in range(len(shape)):
+        if i == len(shape) - 1 or shape[i] > shape[i + 1]:
+            smaller = tuple(p for p in shape[:i] + (shape[i] - 1,) + shape[i + 1:] if p)
+            for rows in recursive_syt(smaller):
+                rows = list(rows) + [()] * (i + 1 - len(rows))
+                rows[i] += (n,)
+                out.append(tuple(rows))
+    return out
+
+
+def test_enumerate_syt_matches_the_recursive_enumeration_in_order():
+    for n in range(9):
+        for shape in partitions_of(n):
+            got = enumerate_syt(shape)
+            assert [t.rows for t in got] == recursive_syt(shape)
+            assert got == tuple(StandardTableau(t.rows) for t in got)  # each one passes the checks
+    assert enumerate_syt((2, 1, 0)) == enumerate_syt((2, 1))
+
+
+def test_enumerate_syt_of_a_long_row_does_not_recurse():
+    (t,) = enumerate_syt((3000,))
+    assert t.rows == (tuple(range(1, 3001)),)
+
+
 def test_evacuation_examples():
     assert str(evacuation_oracle(syt_from_string("134/256"))) == "125/346"
     assert str(evacuation_oracle(syt_from_string("123"))) == "123"
