@@ -78,7 +78,7 @@ class StandardTableau:
         return j - i
 
     def __str__(self) -> str:
-        return "/".join("".join(str(v) for v in row) for row in self.rows)
+        return "/".join("".join(map(str, row)) for row in self.rows)
 
 
 def syt_from_string(text: str) -> StandardTableau:
@@ -110,7 +110,7 @@ def count_syt(shape: Sequence[int]) -> int:
     5
     """
     parts = Partition(s for s in shape if s).parts
-    cols = conjugate(Partition(parts)).parts
+    cols = [sum(1 for p in parts if p > j) for j in range(max(parts, default=0))]
     hooks = 1
     for i, row in enumerate(parts):
         for j in range(row):

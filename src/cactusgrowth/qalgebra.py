@@ -459,7 +459,7 @@ def render_laurent(p: LaurentPoly) -> str:
 
 
 def render_rational(r: RationalFunction) -> str:
-    if r.den == LaurentPoly.one():
+    if r.den._c == {0: 1}:
         return render_laurent(r.num)
     return f"({render_laurent(r.num)}) / ({render_laurent(r.den)})"
 

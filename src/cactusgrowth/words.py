@@ -12,9 +12,18 @@ is the factor's fundamental weight, and fill_cell is the one checked cell
 rule: weights.local_rule with both new steps checked.  Weight appears only
 in complete_cell, the wrapper of fill_cell that the benchmark's layer probe
 calls, and in HighestWeightWord.corner.
+
+A word is validated once, where it comes in: word_from_corners and
+word_from_json without explicit steps check it in one pass (the lengths,
+each step's inferred kind, which is the step check, the zero start, each
+corner's dominance) and build it with HighestWeightWord._trusted.  The
+public constructor and input with explicit steps still check in full, and
+so do the words that growth and tau output.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import sub
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import DEFAULT_SIZE_CAP, DomainError
@@ -114,24 +123,32 @@ def step_is_valid(ctx: CartanContext, kind: StepKind, start: Sequence[int], end:
     return dom(fam, [a - b for a, b in zip(end, start)]) == kind.fundamental_weight(ctx)
 
 
+_BITS = frozenset((0, 1))
+
+
+@lru_cache(maxsize=None)
+def _inferred_exterior(k: int) -> StepKind:
+    """The GL kind of a step of k boxes, one object per k (k <= rank)."""
+    return VECTOR if k == 1 else exterior(k)
+
+
 def infer_step_kind(ctx: CartanContext, start: Corner, end: Corner) -> StepKind:
     """Recover the factor descriptor from a single corner pair.
 
     >>> print(infer_step_kind(CartanContext('GL', 4), (1, 1, 1, 0), (2, 1, 1, 1)))
     exterior(2)
     """
-    diff = tuple(a - b for a, b in zip(end, start))
+    diff = tuple(map(sub, end, start))
     if ctx.family == SL2:
         if diff in ((1,), (-1,)):
             return SL2_STEP
         raise InvalidStep(f"{_fmt(start)} -> {_fmt(end)} is not an SL2 step")
     if ctx.family == SP:
-        if sum(abs(d) for d in diff) == 1:
+        if sum(map(abs, diff)) == 1:
             return VECTOR
         raise InvalidStep(f"{_fmt(start)} -> {_fmt(end)} is not an Sp vector step")
-    if all(d in (0, 1) for d in diff):
-        k = sum(diff)
-        return VECTOR if k == 1 else exterior(k)
+    if _BITS.issuperset(diff):
+        return _inferred_exterior(sum(diff))
     raise InvalidStep(f"{_fmt(start)} -> {_fmt(end)} is not a GL exterior-power step")
 
 
@@ -160,6 +177,14 @@ class HighestWeightWord:
         self.steps = steps
         self.corners = corners
 
+    @classmethod
+    def _trusted(cls, context: CartanContext, steps: tuple[StepKind, ...],
+                 corners: tuple[tuple[int, ...], ...]) -> HighestWeightWord:
+        """A word whose steps and corners are known to be valid, built without the checks."""
+        w = object.__new__(cls)
+        w.context, w.steps, w.corners = context, steps, corners
+        return w
+
     def __eq__(self, other):
         return (self.context == other.context and self.steps == other.steps and self.corners == other.corners
                 if other.__class__ is HighestWeightWord else NotImplemented)
@@ -180,11 +205,38 @@ class HighestWeightWord:
 
 def word_from_corners(ctx: CartanContext, corners: Sequence[Sequence[int]],
                       steps: Optional[Sequence[StepKind]] = None) -> HighestWeightWord:
-    """Build a word from raw corner vectors, inferring descriptors if absent."""
+    """Build a word from raw corner vectors, inferring descriptors if absent.
+
+    With explicit steps the public constructor checks the word; without,
+    _word_from_tuples checks it in one pass.
+    """
     tuples = tuple(tuple(int(x) for x in c) for c in corners)
-    if steps is None:
-        steps = tuple(infer_step_kind(ctx, tuples[k], tuples[k + 1]) for k in range(len(tuples) - 1))
-    return HighestWeightWord(ctx, tuple(steps), tuples)
+    if steps is not None:
+        return HighestWeightWord(ctx, tuple(steps), tuples)
+    return _word_from_tuples(ctx, tuples)
+
+
+def _word_from_tuples(ctx: CartanContext, corners: tuple[tuple[int, ...], ...]) -> HighestWeightWord:
+    """The word on int-tuple corners with inferred steps, checked once: every
+    corner's length, then each step (a kind is inferred only for a valid
+    minuscule difference), then the zero start, then each corner's dominance.
+    The errors are those of HighestWeightWord, except that a corner of the
+    wrong length is refused before any step is looked at."""
+    rank = ctx.rank
+    if not corners:
+        raise ValueError("0 steps need 1 corners, got 0")
+    if any(len(c) != rank for c in corners):
+        raise ValueError(f"corners {corners} do not match rank {rank}")
+    steps = tuple(infer_step_kind(ctx, a, b) for a, b in zip(corners, corners[1:]))
+    if any(corners[0]):
+        raise InvalidStep("a highest weight word starts at the zero weight")
+    fam = ctx.family
+    for k in range(1, len(corners)):
+        if not dominant(fam, corners[k]):
+            # step k - 1 is the first whose check fails: its difference is valid
+            raise InvalidStep(f"corner {k - 1}: {_fmt(corners[k - 1])} -> {_fmt(corners[k])} "
+                              f"is not a valid {steps[k - 1]} step")
+    return HighestWeightWord._trusted(ctx, steps, corners)
 
 
 def fill_cell(ctx: CartanContext, kappa: Corner, lam: Corner, nu: Corner) -> Corner:
@@ -296,10 +348,11 @@ def check_word_json(obj) -> None:
 def word_from_json(obj: dict) -> HighestWeightWord:
     check_word_json(obj)
     ctx = CartanContext(obj["context"]["family"], obj["context"]["rank"])
-    steps = None
     if obj.get("steps"):
         steps = tuple(parse_step_kind(s) for s in obj["steps"])
-    return word_from_corners(ctx, obj["corners"], steps)
+        return word_from_corners(ctx, obj["corners"], steps)
+    # check_word_json has typed every coordinate as an int
+    return _word_from_tuples(ctx, tuple(map(tuple, obj["corners"])))
 
 
 def parse_step_kind(text: str) -> StepKind:

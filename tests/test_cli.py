@@ -605,6 +605,19 @@ def test_word_json_context_missing_a_key_exit_2(capsys, command, context):
     assert err.startswith("parse error: ")
 
 
+@pytest.mark.parametrize("corners, shown", [
+    ([[0, 0], [3]], "((0, 0), (3,))"),
+    ([[0, 0], [1]], "((0, 0), (1,))"),
+    ([[0, 0], [3, 0, 0]], "((0, 0), (3, 0, 0))"),
+])
+def test_word_json_corner_of_the_wrong_length_exit_2(capsys, corners, shown):
+    """The rank is checked before any step, whatever the corner's values."""
+    payload = {"context": {"family": "GL", "rank": 2}, "corners": corners}
+    code, out, err = run(capsys, "evacuate", "--json", json.dumps(payload))
+    assert_one_line_exit_2(code, out, err)
+    assert err == f"parse error: corners {shown} do not match rank 2\n"
+
+
 def test_word_json_with_null_steps_infers_them(capsys):
     payload = {"context": {"family": "GL", "rank": 2}, "steps": None, "corners": [[0, 0], [1, 0], [1, 1]]}
     code, out, _ = run(capsys, "evacuate", "--json", json.dumps(payload))

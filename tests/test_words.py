@@ -34,6 +34,16 @@ def w(ctx, *corners):
     return word_from_corners(ctx, corners)
 
 
+# the families and ranks of the boundary tests; corners have coordinates in -1..2
+BOUNDARY_CONTEXTS = [CartanContext("GL", n) for n in range(1, 4)] + [SP4, SL2]
+BOX = range(-1, 3)
+
+
+def family_kinds(ctx):
+    return {"GL": [VECTOR] + [exterior(k) for k in range(ctx.rank + 1)],
+            "Sp": [VECTOR], "SL2": [SL2_STEP, VECTOR]}[ctx.family]
+
+
 def test_word_validation():
     ok = w(GL2, (0, 0), (1, 0), (2, 0), (2, 1))
     assert ok.r == 3
@@ -52,8 +62,7 @@ def test_closed_forms_match_orbit_and_weight_arithmetic(ctx):
     """step_is_valid's dom_W test against Weyl-orbit membership, and
     local_rule against Weight arithmetic, over every start and difference
     in a box."""
-    kinds = {"GL": [VECTOR] + [exterior(k) for k in range(ctx.rank + 1)],
-             "Sp": [VECTOR], "SL2": [SL2_STEP, VECTOR]}[ctx.family]
+    kinds = family_kinds(ctx)
     starts = list(product(range(-1, 3), repeat=ctx.rank))
     diffs = list(product(range(-1, 2), repeat=ctx.rank))
     orbits = {kind: kind.orbit(ctx) for kind in kinds}
@@ -73,6 +82,81 @@ def test_infer_step_kind():
     assert infer_step_kind(SP4, (1, 1), (1, 0)) == VECTOR
     with pytest.raises(InvalidStep):
         infer_step_kind(SP4, (1, 0), (2, 1))
+
+
+@pytest.mark.parametrize("ctx", BOUNDARY_CONTEXTS + [CartanContext("GL", 4), CartanContext("Sp", 3)], ids=str)
+def test_inference_is_the_step_check(ctx):
+    """The lemma the one-pass word check rests on: between dominant corners,
+    a kind of the family makes a valid step exactly when inference succeeds
+    with a kind of the same fundamental weight."""
+    corners = [c for c in product(BOX, repeat=ctx.rank) if is_dominant(Weight(ctx, c))]
+    for a, b in product(corners, repeat=2):
+        try:
+            inferred = infer_step_kind(ctx, a, b).fundamental_weight(ctx)
+        except InvalidStep:
+            inferred = None
+        for kind in family_kinds(ctx):
+            assert step_is_valid(ctx, kind, a, b) == (inferred == kind.fundamental_weight(ctx)), (a, b, kind)
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValueError as exc:  # InvalidStep is a ValueError
+        return type(exc), str(exc)
+
+
+def checked_word(ctx, corners):
+    """The word through the public constructor, with the kinds inferred first."""
+    tuples = tuple(map(tuple, corners))
+    return outcome(lambda: HighestWeightWord(
+        ctx, tuple(infer_step_kind(ctx, a, b) for a, b in zip(tuples, tuples[1:])), tuples))
+
+
+def corner_lists(ctx, start, r):
+    """Every list of at most r + 1 box corners from start, except that a list
+    is not extended past a step that inference refuses: its outcome, that
+    refusal, is the same on every extension."""
+    box = list(product(BOX, repeat=ctx.rank))
+    lists = [(start,)]
+    while lists:
+        corners = lists.pop()
+        yield corners
+        if len(corners) <= r and (len(corners) == 1 or inferable(ctx, *corners[-2:])):
+            lists.extend(corners + (c,) for c in box)
+
+
+def inferable(ctx, a, b):
+    try:
+        infer_step_kind(ctx, a, b)
+    except InvalidStep:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("ctx", BOUNDARY_CONTEXTS, ids=str)
+def test_one_pass_word_check_matches_the_checked_constructor(ctx):
+    """word_from_corners and word_from_json give the word, or the error, of
+    HighestWeightWord on the inferred kinds; a corner of the wrong length is
+    refused for its length before any step is looked at."""
+    zero = (0,) * ctx.rank
+    cases = [()] + list(corner_lists(ctx, zero, 4))
+    for start in product(BOX, repeat=ctx.rank):
+        if start != zero:
+            cases += corner_lists(ctx, start, 1)
+    short_and_long = [c for n in (ctx.rank - 1, ctx.rank + 1) for c in product(BOX, repeat=n)]
+    step = (1,) + (0,) * (ctx.rank - 1)
+    wrong_length = {lst for c in short_and_long for lst in ((c,), (zero, c), (zero, step, c), (c, zero))}
+    context = {"family": ctx.family, "rank": ctx.rank}
+    for corners in cases + sorted(wrong_length):
+        got = outcome(lambda: word_from_corners(ctx, corners))
+        assert outcome(lambda: word_from_json({"context": context, "corners": [list(c) for c in corners]})) == got
+        if corners in wrong_length:
+            assert got == (ValueError, f"corners {corners} do not match rank {ctx.rank}")
+            checked = checked_word(ctx, corners)
+            assert checked == got or checked[0] is InvalidStep, corners
+        else:
+            assert got == checked_word(ctx, corners), corners
 
 
 def test_step_kind_text_round_trip():
