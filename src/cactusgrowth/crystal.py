@@ -14,6 +14,13 @@ its tables by these rules and skips validation.  Constructors cover the
 minuscule crystals used by the local rules: GL(n) exterior powers of the
 vector representation, the SL2 doublet, and the Sp(2n) vector
 representation.
+
+The component census of B^r (decompose) does not build B^r.  By the same
+rule, x (x) b is highest weight exactly when x is and eps_i(b) <= phi_i(x)
+for every i, so the highest weights are counted level by level from the
+tables of B, and each component's size is Weyl's dimension formula
+(weyl_dimension).  suites.materialized_census reads the same census off
+the built power and is the reference that check_crystal compares against.
 """
 from __future__ import annotations
 
@@ -116,15 +123,14 @@ class Crystal:
     def phi(self, i: int, x: int) -> int:
         return self._phi[i][x]
 
-    def _highest_weight_flags(self) -> list[bool]:
-        """Per element: is eps_i zero for every i."""
-        return [not any(col) for col in zip(*self._eps.values())] if self._eps else [True] * self.n
-
     def is_highest_weight(self, x: int) -> bool:
         return not any(eps[x] for eps in self._eps.values())
 
     def highest_weight_elements(self) -> list[int]:
-        return [x for x, hw in enumerate(self._highest_weight_flags()) if hw]
+        """The elements whose eps_i is zero for every i."""
+        if not self._eps:
+            return list(range(self.n))
+        return [x for x, col in enumerate(zip(*self._eps.values())) if not any(col)]
 
     def rectify(self, x: int) -> int:
         """The highest weight element in the connected component of x,
@@ -227,13 +233,9 @@ def tensor_power(c: Crystal, r: int, size_cap: int = DEFAULT_SIZE_CAP) -> Crysta
     x (x) y is indexed x|C| + y, so every bracketing gives the same weights
     and e-maps as the left-nested product B (x) ... (x) B, and labels are
     the factors' labels joined by "(x)" (B^1 is B itself; B^0 is the
-    one-element crystal labelled "1").  Refused before any level is built
-    when r or |B|^r exceeds size_cap; the exponent is clipped so that |B|^r
-    is never formed when it is huge."""
-    if r < 0:
-        raise BadParameter("tensor power needs r >= 0")
-    if r and (r > size_cap or c.n ** min(r, size_cap.bit_length() + 1) > size_cap):
-        raise SizeLimit(f"tensor power {r} of a {c.n}-element crystal is over the cap of {size_cap}")
+    one-element crystal labelled "1").  Refused by _check_power before any
+    level is built."""
+    _check_power(c, r, size_cap)
     if not r:
         return trivial_crystal(c.context)
     out, square = None, c
@@ -244,6 +246,15 @@ def tensor_power(c: Crystal, r: int, size_cap: int = DEFAULT_SIZE_CAP) -> Crysta
         if r:  # a later bit needs it, so |square|^2 <= |B|^r
             square = tensor(square, square, size_cap=size_cap)
     return out
+
+
+def _check_power(c: Crystal, r: int, size_cap: int) -> None:
+    """Refuse r < 0, and r or |B|^r over size_cap; the exponent is clipped so
+    that |B|^r is never formed when it is huge."""
+    if r < 0:
+        raise BadParameter("tensor power needs r >= 0")
+    if r and (r > size_cap or c.n ** min(r, size_cap.bit_length() + 1) > size_cap):
+        raise SizeLimit(f"tensor power {r} of a {c.n}-element crystal is over the cap of {size_cap}")
 
 
 def _check_size(context: CartanContext, size: int, size_cap: int) -> None:
@@ -259,30 +270,80 @@ def trivial_crystal(context: CartanContext) -> Crystal:
 
 
 def decompose(c: Crystal, r: int, size_cap: int = DEFAULT_SIZE_CAP) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Component census of the r-th tensor power of c.
+    """Component census of the r-th tensor power of c, read off the tables of
+    c without building the power.
 
-    Returns {highest weight coords: (component count, component size)};
-    the totals satisfy sum(count * size) == len(c)^r.
+    Returns {highest weight coords: (component count, component size)}.
+    x (x) b is highest weight exactly when x is and eps_i(b) <= phi_i(x) for
+    every i, and then phi_i(x (x) b) = phi_i(x) + phi_i(b) - eps_i(b).  So
+    the highest-weight elements of B^r are counted level by level, by
+    (weight, phi vector), and each component's size is weyl_dimension of
+    its highest weight.  The census is checked: sum(count * size) must be
+    len(c)^r.  Refused by _check_power, like tensor_power, when r or |B|^r
+    exceeds size_cap.
 
     >>> decompose(build_minuscule(CartanContext('GL', 2), 'vector'), 3)
     {(3, 0): (1, 4), (2, 1): (2, 2)}
     """
-    power = tensor_power(c, r, size_cap=size_cap)
-    hw = power._highest_weight_flags()
-    out: dict[tuple[int, ...], tuple[int, int]] = {}
-    for comp in power.components():
-        hws = [x for x in comp if hw[x]]
-        if len(hws) != 1:
-            raise ValueError(f"component with {len(hws)} highest weight elements")
-        key = power.weights[hws[0]]
-        count, size = out.get(key, (0, 0))
-        if count and size != len(comp):
-            raise ValueError(f"components of weight {key} have unequal sizes")
-        out[key] = (count + 1, len(comp))
+    _check_power(c, r, size_cap)
+    if c.n == 1:  # B^r is one element, of weight r wt(b)
+        counts = {tuple(r * a for a in c.weights[0]): 1}
+    else:
+        index_set = c.context.index_set()
+        letters = []  # per letter: its weight, the (k, eps) it needs of phi, and phi - eps
+        for b, wt in enumerate(c.weights):
+            eps = [c._eps[i][b] for i in index_set]
+            letters.append((wt, [(k, e) for k, e in enumerate(eps) if e],
+                            tuple(c._phi[i][b] - e for i, e in zip(index_set, eps))))
+        level = {((0,) * c.context.rank, (0,) * len(index_set)): 1}
+        for _ in range(r):
+            grown: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+            for (wt, phi), count in level.items():
+                for b_wt, needs, shift in letters:
+                    for k, e in needs:
+                        if phi[k] < e:
+                            break
+                    else:
+                        key = (tuple(map(add, wt, b_wt)), tuple(map(add, phi, shift)))
+                        grown[key] = grown.get(key, 0) + count
+            level = grown
+        counts = {}
+        for (wt, _), count in level.items():
+            counts[wt] = counts.get(wt, 0) + count
+    out = {wt: (count, weyl_dimension(c.context, wt)) for wt, count in counts.items()}
     total = sum(count * size for count, size in out.values())
     if total != c.n**r:
         raise ValueError(f"census total {total} != {c.n}^{r}")
     return out
+
+
+def weyl_dimension(context: CartanContext, wt: tuple[int, ...]) -> int:
+    """Size of the component of dominant highest weight wt, by Weyl's
+    dimension formula in exact ints: for GL(n), the product over i < j of
+    (wt_i - wt_j + j - i) / (j - i); for Sp(2n), with l = wt + rho and
+    rho = (n, ..., 1), the product over i < j of (l_i^2 - l_j^2) /
+    (rho_i^2 - rho_j^2) times the product of l_i / rho_i; SL2 is Sp(2).
+
+    >>> weyl_dimension(CartanContext('Sp', 2), (1, 1))
+    5
+    """
+    n = len(wt)
+    num = den = 1
+    if context.family == GL:
+        for i in range(n):
+            for j in range(i + 1, n):
+                num *= wt[i] - wt[j] + j - i
+                den *= j - i
+        return num // den
+    rho = range(n, 0, -1)
+    shifted = [a + p for a, p in zip(wt, rho)]
+    for i in range(n):
+        num *= shifted[i]
+        den *= rho[i]
+        for j in range(i + 1, n):
+            num *= shifted[i] ** 2 - shifted[j] ** 2
+            den *= rho[i] ** 2 - rho[j] ** 2
+    return num // den
 
 
 def build_minuscule(context: CartanContext, which: str, k: int = 1, size_cap: int = DEFAULT_SIZE_CAP) -> Crystal:

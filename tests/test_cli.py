@@ -5,10 +5,11 @@ import time
 import pytest
 
 import cactusgrowth.cli as cli
+import cactusgrowth.crystal as crystal_module
 import cactusgrowth.growth as growth_module
 from cactusgrowth import suites
 from cactusgrowth.cli import build_parser, main
-from cactusgrowth.errors import DomainError
+from cactusgrowth.errors import DEFAULT_SIZE_CAP, DomainError
 
 
 def run(capsys, *argv):
@@ -156,6 +157,44 @@ def test_crystal_power_over_the_size_cap(capsys, argv):
     assert time.perf_counter() - start < 2
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("domain error: ")
+
+
+def test_crystal_decompose_never_builds_the_power(capsys, monkeypatch):
+    def no_product(*args, **kwargs):
+        raise AssertionError("a tensor product was built")
+
+    monkeypatch.setattr(crystal_module, "tensor", no_product)
+    monkeypatch.setattr(crystal_module, "tensor_power", no_product)
+    code, out, err = run(capsys, "crystal", "decompose", "--family", "GL", "--rank", "3", "--r", "5")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"crystal_size": 3, "r": 5, "components": [
+        {"weight": [5, 0, 0], "count": 1, "size": 21}, {"weight": [4, 1, 0], "count": 4, "size": 24},
+        {"weight": [3, 2, 0], "count": 5, "size": 15}, {"weight": [3, 1, 1], "count": 6, "size": 6},
+        {"weight": [2, 2, 1], "count": 5, "size": 3}]}
+
+
+def test_verify_crystal_reports_a_census_with_one_unit_moved(capsys, monkeypatch):
+    real = crystal_module.decompose
+
+    def moved(c, r, size_cap=DEFAULT_SIZE_CAP):
+        # one component moves between two weights of equal size, so the
+        # total is still len(c)^r: GL(3) r=4 has (4,0,0) and (3,1,0) of size 15
+        census = dict(real(c, r, size_cap))
+        by_size = {}
+        for wt, (count, size) in census.items():
+            by_size.setdefault(size, []).append(wt)
+        equal = [wts for wts in by_size.values() if len(wts) > 1]
+        if equal:
+            a, b = equal[0][:2]
+            census[a], census[b] = (census[a][0] + 1, census[a][1]), (census[b][0] - 1, census[b][1])
+        return census
+
+    monkeypatch.setattr(crystal_module, "decompose", moved)
+    code, out, _ = run(capsys, "verify", "crystal", "--r", "4")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(":")[1] for line in lines if line.startswith("FAIL:")] == [" GL(3) r=4"]
+    assert json.loads(lines[-1])["failures"] == 1
 
 
 def test_oracle_subcommands(capsys):

@@ -13,9 +13,10 @@ from cactusgrowth.crystal import (
     tensor,
     tensor_power,
     trivial_crystal,
+    weyl_dimension,
     weyl_orbit_weights,
 )
-from cactusgrowth.suites import check_crystal, check_morphism
+from cactusgrowth.suites import check_crystal, check_morphism, materialized_census
 from cactusgrowth.weights import CartanContext, ContextMismatch
 from cactusgrowth.words import SL2_STEP, VECTOR, enumerate_hw_words, exterior
 
@@ -68,6 +69,9 @@ def test_bad_parameters():
         build_minuscule(GL3, "exterior", 4)
     with pytest.raises(BadParameter):
         build_minuscule(GL3, "sl2")
+    for power in (tensor_power, decompose):
+        with pytest.raises(BadParameter, match="r >= 0"):
+            power(build_minuscule(GL3, "vector"), -1)
 
 
 def test_highest_weight_is_eps_zero():
@@ -141,8 +145,12 @@ def test_tensor_power_refused_before_any_level(monkeypatch, kind, k, r, cap):
         raise AssertionError("a level was built")
 
     monkeypatch.setattr(crystal_module, "tensor", no_level)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit) as power:
         tensor_power(build_minuscule(GL2, kind, k), r, size_cap=cap)
+    # the census is refused by the same check, with the same message
+    with pytest.raises(SizeLimit) as census:
+        decompose(build_minuscule(GL2, kind, k), r, size_cap=cap)
+    assert str(census.value) == str(power.value)
 
 
 def test_tensor_power_at_the_cap_is_built():
@@ -326,3 +334,24 @@ def test_census_counts_highest_weight_words(ctx, kind, k, r):
     census = decompose(c, r)
     assert {wt: count for wt, (count, _) in census.items()} == dict(finals)
     assert sum(count * size for count, size in census.values()) == c.n ** r
+
+
+@pytest.mark.parametrize("ctx, kind, k, r", CENSUS_CASES)
+def test_census_equals_the_materialized_census(ctx, kind, k, r):
+    c = build_minuscule(ctx, kind, k)
+    assert decompose(c, r) == materialized_census(c, r)
+
+
+@pytest.mark.parametrize("ctx, kind, k, r", CENSUS_CASES)
+def test_weyl_dimension_is_the_component_size(ctx, kind, k, r):
+    # the formula alone, against every component of the materialized power
+    power = tensor_power(build_minuscule(ctx, kind, k), r)
+    for comp in power.components():
+        (top,) = [x for x in comp if power.is_highest_weight(x)]
+        assert weyl_dimension(ctx, power.weights[top]) == len(comp)
+
+
+def test_census_of_a_one_element_crystal():
+    c = build_minuscule(GL3, "exterior", 3)
+    assert decompose(c, 0) == {(0, 0, 0): (1, 1)}
+    assert decompose(c, 7) == {(7, 7, 7): (1, 1)} == materialized_census(c, 7)

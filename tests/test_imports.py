@@ -54,6 +54,15 @@ def test_cold_act_loads_only_the_layers_it_runs():
     assert not {"argparse", "gettext", "locale"} & loaded
 
 
+def test_cold_crystal_decompose_loads_only_the_crystal_layers():
+    loaded = imported_by_command("crystal", "decompose", "--family", "Sp", "--rank", "2", "--r", "4")
+    assert {m for m in loaded if m.startswith("cactusgrowth")} == {
+        "cactusgrowth", "cactusgrowth.errors", "cactusgrowth.weights", "cactusgrowth.words",
+        "cactusgrowth.crystal",
+    }
+    assert not {"dataclasses", "fractions"} & loaded
+
+
 def test_cold_hecke_matrix_loads_no_dataclasses_or_fractions():
     loaded = imported_by_command("hecke", "matrix", "--shape", "3,2", "--op", "tau", "--i", "2")
     assert not {"dataclasses", "fractions"} & loaded
