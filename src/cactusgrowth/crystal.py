@@ -277,10 +277,16 @@ def decompose(c: Crystal, r: int, size_cap: int = DEFAULT_SIZE_CAP) -> dict[tupl
     x (x) b is highest weight exactly when x is and eps_i(b) <= phi_i(x) for
     every i, and then phi_i(x (x) b) = phi_i(x) + phi_i(b) - eps_i(b).  So
     the highest-weight elements of B^r are counted level by level, by
-    (weight, phi vector), and each component's size is weyl_dimension of
-    its highest weight.  The census is checked: sum(count * size) must be
-    len(c)^r.  Refused by _check_power, like tensor_power, when r or |B|^r
-    exceeds size_cap.
+    weight, and each component's size is weyl_dimension of its highest
+    weight.  The census is checked: sum(count * size) must be len(c)^r.
+    Refused by _check_power, like tensor_power, when r or |B|^r exceeds
+    size_cap.
+
+    c must be a normal crystal (every crystal of build_minuscule is), which
+    Crystal(...) does not check: there a highest weight is dominant, its
+    phi_i is <wt, alpha_i^vee>, so the weight fixes it, and Weyl's formula
+    gives its component's size.  For another crystal the census may be
+    refused by weyl_dimension or by the total check.
 
     >>> decompose(build_minuscule(CartanContext('GL', 2), 'vector'), 3)
     {(3, 0): (1, 4), (2, 1): (2, 2)}
@@ -295,21 +301,27 @@ def decompose(c: Crystal, r: int, size_cap: int = DEFAULT_SIZE_CAP) -> dict[tupl
             eps = [c._eps[i][b] for i in index_set]
             letters.append((wt, [(k, e) for k, e in enumerate(eps) if e],
                             tuple(c._phi[i][b] - e for i, e in zip(index_set, eps))))
-        level = {((0,) * c.context.rank, (0,) * len(index_set)): 1}
+        # a level maps each highest weight to its count and, apart, to its
+        # phi vector, which the weight fixes in a normal crystal
+        zero = (0,) * c.context.rank
+        counts, phis = {zero: 1}, {zero: (0,) * len(index_set)}
         for _ in range(r):
-            grown: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-            for (wt, phi), count in level.items():
+            grown: dict[tuple[int, ...], int] = {}
+            grown_phis: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for wt, count in counts.items():
+                phi = phis[wt]
                 for b_wt, needs, shift in letters:
                     for k, e in needs:
                         if phi[k] < e:
                             break
                     else:
-                        key = (tuple(map(add, wt, b_wt)), tuple(map(add, phi, shift)))
-                        grown[key] = grown.get(key, 0) + count
-            level = grown
-        counts = {}
-        for (wt, _), count in level.items():
-            counts[wt] = counts.get(wt, 0) + count
+                        key = tuple(map(add, wt, b_wt))
+                        if key in grown:
+                            grown[key] += count
+                        else:
+                            grown[key] = count
+                            grown_phis[key] = tuple(map(add, phi, shift))
+            counts, phis = grown, grown_phis
     out = {wt: (count, weyl_dimension(c.context, wt)) for wt, count in counts.items()}
     total = sum(count * size for count, size in out.values())
     if total != c.n**r:
@@ -323,6 +335,8 @@ def weyl_dimension(context: CartanContext, wt: tuple[int, ...]) -> int:
     (wt_i - wt_j + j - i) / (j - i); for Sp(2n), with l = wt + rho and
     rho = (n, ..., 1), the product over i < j of (l_i^2 - l_j^2) /
     (rho_i^2 - rho_j^2) times the product of l_i / rho_i; SL2 is Sp(2).
+    Raises ValueError when the quotient is not a positive int, as it is
+    for every dominant wt.
 
     >>> weyl_dimension(CartanContext('Sp', 2), (1, 1))
     5
@@ -334,7 +348,7 @@ def weyl_dimension(context: CartanContext, wt: tuple[int, ...]) -> int:
             for j in range(i + 1, n):
                 num *= wt[i] - wt[j] + j - i
                 den *= j - i
-        return num // den
+        return _exact_size(wt, num, den)
     rho = range(n, 0, -1)
     shifted = [a + p for a, p in zip(wt, rho)]
     for i in range(n):
@@ -343,7 +357,14 @@ def weyl_dimension(context: CartanContext, wt: tuple[int, ...]) -> int:
         for j in range(i + 1, n):
             num *= shifted[i] ** 2 - shifted[j] ** 2
             den *= rho[i] ** 2 - rho[j] ** 2
-    return num // den
+    return _exact_size(wt, num, den)
+
+
+def _exact_size(wt: tuple[int, ...], num: int, den: int) -> int:
+    size, rest = divmod(num, den)
+    if rest or size <= 0:
+        raise ValueError(f"Weyl's formula gives {num}/{den} at {wt}: not a dominant weight")
+    return size
 
 
 def build_minuscule(context: CartanContext, which: str, k: int = 1, size_cap: int = DEFAULT_SIZE_CAP) -> Crystal:

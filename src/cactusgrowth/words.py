@@ -14,11 +14,11 @@ in complete_cell, the wrapper of fill_cell that the benchmark's layer probe
 calls, and in HighestWeightWord.corner.
 
 A word is validated once, where it comes in: word_from_corners and
-word_from_json check it in one pass (the lengths, each step's inferred
-kind, which is the step check, or its fundamental weight against the given
-kind's, the zero start, each corner's dominance) and build it with
-HighestWeightWord._trusted.  The public constructor still checks in full,
-and so do the words that growth and tau output.
+word_from_json without explicit steps check it in one pass (the lengths,
+each step's inferred kind, which is the step check, the zero start, each
+corner's dominance) and build it with HighestWeightWord._trusted.  The
+public constructor and input with explicit steps still check in full, and
+so do the words that growth and tau output.
 """
 from __future__ import annotations
 
@@ -207,56 +207,30 @@ def word_from_corners(ctx: CartanContext, corners: Sequence[Sequence[int]],
                       steps: Optional[Sequence[StepKind]] = None) -> HighestWeightWord:
     """Build a word from raw corner vectors, inferring descriptors if absent.
 
-    _word_from_tuples checks the word in one pass, with the given steps or
-    without.
+    With explicit steps the public constructor checks the word; without,
+    _word_from_tuples checks it in one pass.
     """
     tuples = tuple(tuple(int(x) for x in c) for c in corners)
-    return _word_from_tuples(ctx, tuples, None if steps is None else tuple(steps))
+    if steps is not None:
+        return HighestWeightWord(ctx, tuple(steps), tuples)
+    return _word_from_tuples(ctx, tuples)
 
 
-def _word_from_tuples(ctx: CartanContext, corners: tuple[tuple[int, ...], ...],
-                      steps: Optional[tuple[StepKind, ...]] = None) -> HighestWeightWord:
-    """The word on int-tuple corners, checked once.
-
-    Without steps: every corner's length, then each step (a kind is
-    inferred only for a valid minuscule difference), then the zero start,
-    then each corner's dominance.  The errors are those of
-    HighestWeightWord on the inferred kinds, except that a corner of the
-    wrong length is refused before any step is looked at.
-
-    With steps, which the word keeps: the checks of HighestWeightWord in
-    its order and with its errors.  Step k is valid when its end corner is
-    dominant (its start is the zero corner or was checked at step k - 1)
-    and the inferred kind has the given kind's fundamental weight: between
-    dominant corners that is the step check.
-    """
+def _word_from_tuples(ctx: CartanContext, corners: tuple[tuple[int, ...], ...]) -> HighestWeightWord:
+    """The word on int-tuple corners with inferred steps, checked once: every
+    corner's length, then each step (a kind is inferred only for a valid
+    minuscule difference), then the zero start, then each corner's dominance.
+    The errors are those of HighestWeightWord, except that a corner of the
+    wrong length is refused before any step is looked at."""
     rank = ctx.rank
-    r = max(len(corners) - 1, 0) if steps is None else len(steps)
-    if len(corners) != r + 1:
-        raise ValueError(f"{r} steps need {r + 1} corners, got {len(corners)}")
+    if not corners:
+        raise ValueError("0 steps need 1 corners, got 0")
     if any(len(c) != rank for c in corners):
         raise ValueError(f"corners {corners} do not match rank {rank}")
-    fam = ctx.family
-    if steps is not None:
-        if any(corners[0]):
-            raise InvalidStep("a highest weight word starts at the zero weight")
-        for k, kind in enumerate(steps):
-            a, b = corners[k], corners[k + 1]
-            valid = dominant(fam, b)
-            if valid:
-                try:
-                    inferred = infer_step_kind(ctx, a, b)
-                except InvalidStep:
-                    inferred = None
-                if inferred is None or inferred != kind:
-                    fundamental = kind.fundamental_weight(ctx)  # raises for a kind invalid in ctx
-                    valid = inferred is not None and inferred.fundamental_weight(ctx) == fundamental
-            if not valid:
-                raise InvalidStep(f"corner {k}: {_fmt(a)} -> {_fmt(b)} is not a valid {kind} step")
-        return HighestWeightWord._trusted(ctx, steps, corners)
     steps = tuple(infer_step_kind(ctx, a, b) for a, b in zip(corners, corners[1:]))
     if any(corners[0]):
         raise InvalidStep("a highest weight word starts at the zero weight")
+    fam = ctx.family
     for k in range(1, len(corners)):
         if not dominant(fam, corners[k]):
             # step k - 1 is the first whose check fails: its difference is valid
@@ -374,10 +348,11 @@ def check_word_json(obj) -> None:
 def word_from_json(obj: dict) -> HighestWeightWord:
     check_word_json(obj)
     ctx = CartanContext(obj["context"]["family"], obj["context"]["rank"])
-    steps = obj.get("steps")
-    steps = tuple(map(parse_step_kind, steps)) if steps else None
+    if obj.get("steps"):
+        steps = tuple(parse_step_kind(s) for s in obj["steps"])
+        return word_from_corners(ctx, obj["corners"], steps)
     # check_word_json has typed every coordinate as an int
-    return _word_from_tuples(ctx, tuple(map(tuple, obj["corners"])), steps)
+    return _word_from_tuples(ctx, tuple(map(tuple, obj["corners"])))
 
 
 def parse_step_kind(text: str) -> StepKind:

@@ -355,3 +355,15 @@ def test_census_of_a_one_element_crystal():
     c = build_minuscule(GL3, "exterior", 3)
     assert decompose(c, 0) == {(0, 0, 0): (1, 1)}
     assert decompose(c, 7) == {(7, 7, 7): (1, 1)} == materialized_census(c, 7)
+
+
+def test_weyl_dimension_refuses_a_weight_that_is_not_dominant():
+    GL2 = CartanContext("GL", 2)
+    for ctx, wt in [(GL2, (0, 1)), (GL3, (0, 2, 0)), (CartanContext("Sp", 4), (0, 1))]:
+        with pytest.raises(ValueError, match="not a dominant weight"):
+            weyl_dimension(ctx, wt)
+    # a crystal that is not normal: two isolated elements, one of weight
+    # (0, 1), which is then a highest weight that is not dominant
+    c = Crystal(GL2, ("a", "b"), {}, ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="not a dominant weight"):
+        decompose(c, 1)

@@ -138,9 +138,7 @@ def inferable(ctx, a, b):
 def test_one_pass_word_check_matches_the_checked_constructor(ctx):
     """word_from_corners and word_from_json give the word, or the error, of
     HighestWeightWord on the inferred kinds; a corner of the wrong length is
-    refused for its length before any step is looked at.  With explicit
-    steps they give the word, or the error, of HighestWeightWord on the
-    given steps."""
+    refused for its length before any step is looked at."""
     zero = (0,) * ctx.rank
     cases = [()] + list(corner_lists(ctx, zero, 4))
     for start in product(BOX, repeat=ctx.rank):
@@ -159,29 +157,6 @@ def test_one_pass_word_check_matches_the_checked_constructor(ctx):
             assert checked == got or checked[0] is InvalidStep, corners
         else:
             assert got == checked_word(ctx, corners), corners
-        # explicit steps: the inferred kinds (a vector where inference fails)
-        # and one step too few or too many; from zero with up to two steps,
-        # also each kind of the family and two kinds invalid in ctx at each
-        # position, or only at the first step inference refuses.  Past two
-        # steps, only lists whose every step infers a kind.
-        inferred = [infer_step_kind(ctx, a, b) if inferable(ctx, a, b) else None
-                    for a, b in zip(corners, corners[1:])]
-        if len(corners) > 3 and None in inferred:
-            continue
-        base = tuple(kind or VECTOR for kind in inferred)
-        given = [base, base[:-1], base + (VECTOR,)]
-        if len(base) <= 2 and corners[:1] == (zero,):
-            positions = [inferred.index(None)] if None in inferred else range(len(base))
-            given += [base[:k] + (kind,) + base[k + 1:] for k in positions
-                      for kind in family_kinds(ctx) + [SL2_STEP, exterior(ctx.rank + 1)]]
-        for steps in given:
-            got = outcome(lambda: word_from_corners(ctx, corners, steps))
-            if steps:  # empty steps in JSON mean inferred ones
-                as_json = {"context": context, "steps": [str(s) for s in steps],
-                           "corners": [list(c) for c in corners]}
-                assert outcome(lambda: word_from_json(as_json)) == got
-            # a word equals the checked one only with the same, given, steps
-            assert got == outcome(lambda: HighestWeightWord(ctx, steps, corners)), (corners, steps)
 
 
 def test_step_kind_text_round_trip():
