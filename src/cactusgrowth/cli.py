@@ -313,24 +313,23 @@ def cmd_hecke(args) -> int:
         print(rep.summary())
         return EXIT_OK if rep.passed else EXIT_VERIFY
     import cactusgrowth.hecke as hecke
+    import cactusgrowth.qalgebra as qalgebra
 
     srep = hecke.SeminormalRep(shape)
     op = args.op
-    if op == "u":
-        m = hecke.u_matrix(srep, args.i)
-    elif op == "t":
-        m = hecke.t_matrix(srep, args.i)
-    elif op == "tau":
-        m = hecke.tau_matrix(srep, args.i)
+    if op in ("u", "t", "tau"):
+        text = qalgebra.render_grid(srep.dimension, srep.dimension, hecke.generator_entries(srep, args.i, op))
     elif op == "jm":
-        m = hecke.jm_matrix(srep, args.i)
+        text = hecke.jm_matrix(srep, args.i).pretty()
     elif op == "sigma":
-        m = hecke.sigma_vv(srep)  # always at position 1; --i is still range-checked like every operator's
-        srep._check_index(args.i)
+        # always at 1, but --i is checked before the product (r < 2 is sigma_vv's refusal)
+        if srep.r >= 2:
+            srep._check_index(args.i)
+        text = hecke.sigma_vv(srep).pretty()
     else:
         raise UsageError(f"unknown operator {op!r}")
     print("basis:", " ".join(str(t) for t in srep.basis))
-    print(m.pretty())
+    print(text)
     return EXIT_OK
 
 

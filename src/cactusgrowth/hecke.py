@@ -1,8 +1,9 @@
 """Exact seminormal representations of the Hecke algebra H_r(q).
 
 The representation attached to a shape of size r has the standard tableaux
-of that shape as basis, ordered row-reading lexicographically.  Matrices
-are exact rational functions of q throughout.
+of that shape as basis, ordered row-reading lexicographically and indexed
+by content vector, which fixes a standard tableau: exchanging i and i+1
+transposes c(i) and c(i+1).  Matrices are exact rational functions of q.
 
 Conventions, fixed by requiring the defining relations to hold exactly
 (u_i^2 = -[2] u_i, the modified braid relation, distant commutation, and
@@ -17,7 +18,8 @@ with coeff = 1 when a > 0 and [a-1][a+1]/[a]^2 when a < 0, and the swap
 term dropped when the swapped filling is not standard (so u_i acts by 0 on
 an adjacent same-row pair and by -[2] on an adjacent same-column pair).
 t_i = q + u_i.  Every entry depends on a alone, so each generator is read
-off one table of canonical coefficients per axial distance.  The
+off one table of canonical coefficients per axial distance into its at most
+two nonzeros per column (`generator_entries`).  The
 multiplicative Jucys-Murphy element J_i = (t_i ... t_1)(t_1 ... t_i) is
 diagonal with entries q^(2 c(i+1)).
 """
@@ -49,21 +51,22 @@ class SeminormalRep:
             sorted(enumerate_syt(self.shape), key=lambda t: t.rows)
         )
         self.dimension = len(self.basis)
-        self._index = {t.rows: k for k, t in enumerate(self.basis)}
         self._contents = tuple(_content_vector(t.rows, self.r) for t in self.basis)
+        self._index = {c: k for k, c in enumerate(self._contents)}
 
     def index(self, t: StandardTableau) -> int:
-        return self._index[t.rows]
+        # sized by t itself: a smaller tableau padded to r could match a basis one
+        return self._index[_content_vector(t.rows, sum(map(len, t.rows)))]
 
     def swap(self, k: int, i: int) -> Union[int, None]:
         """Index of the basis tableau with i and i+1 exchanged, or None when
         that filling is not standard.  It is standard exactly when the axial
         distance is not +-1: a = 1 puts i, i+1 side by side in a row, a = -1
         one above the other in a column, and a = 0 cannot occur."""
-        if self.axial(k, i) in (1, -1):
+        c = self._contents[k]
+        if c[i] - c[i - 1] in (1, -1):
             return None
-        exchange = {i: i + 1, i + 1: i}
-        return self._index[tuple(tuple(exchange.get(v, v) for v in row) for row in self.basis[k].rows)]
+        return self._index[c[:i - 1] + (c[i], c[i - 1]) + c[i + 1:]]
 
     def content(self, k: int, entry: int) -> int:
         """c(entry) = column - row of entry in basis tableau k."""
@@ -105,20 +108,27 @@ def _coefficients(a: int) -> dict[str, RationalFunction]:
             "t": RationalFunction.q_power(1) + u, "t_inv": RationalFunction.q_power(-1) + u, "swap": swap}
 
 
-def _generator(rep: SeminormalRep, i: int, which: str) -> QMatrix:
-    """A seminormal generator at i: its diagonal coefficient on T, the swap
-    coefficient on T with i, i+1 exchanged (columns indexed by input
-    tableaux), both looked up by the axial distance."""
+def generator_entries(rep: SeminormalRep, i: int, which: str) -> dict[tuple[int, int], RationalFunction]:
+    """The nonzero entries {(row, col): coefficient} of generator `which` at i: in
+    column k, the diagonal on T and the swap on T with i, i+1 exchanged, by axial distance."""
     rep._check_index(i)
-    d = rep.dimension
-    zero = RationalFunction.zero()
-    rows = [[zero] * d for _ in range(d)]
-    for k in range(d):
+    entries = {}
+    for k in range(rep.dimension):
         coefficients = _coefficients(rep.axial(k, i))
-        rows[k][k] = coefficients[which]
+        if not coefficients[which].is_zero():
+            entries[k, k] = coefficients[which]
         j = rep.swap(k, i)
         if j is not None:
-            rows[j][k] = coefficients["swap"]
+            entries[j, k] = coefficients["swap"]
+    return entries
+
+
+def _generator(rep: SeminormalRep, i: int, which: str) -> QMatrix:
+    """Generator `which` at i as a dense matrix, columns indexed by input tableaux."""
+    d, zero = rep.dimension, RationalFunction.zero()
+    rows = [[zero] * d for _ in range(d)]
+    for (j, k), c in generator_entries(rep, i, which).items():
+        rows[j][k] = c
     return QMatrix(rows)
 
 

@@ -243,7 +243,7 @@ class RationalFunction:
     coefficient; all q-power units and shared factors live in the numerator.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_text")  # never changed after construction: rendered once
 
     def __init__(self, num: Union[LaurentPoly, int, str], den: Union[LaurentPoly, int, None] = None):
         if isinstance(num, str):
@@ -258,6 +258,7 @@ class RationalFunction:
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         self.num, self.den = _canonicalize(num, den)
+        self._text = None
 
     @staticmethod
     def zero() -> "RationalFunction":
@@ -319,10 +320,12 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __str__(self) -> str:
-        return render_rational(self)
+        if self._text is None:
+            self._text = render_rational(self)
+        return self._text
 
     def __repr__(self) -> str:
-        return f"RationalFunction({render_rational(self)!r})"
+        return f"RationalFunction({str(self)!r})"
 
 
 def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -404,12 +407,8 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
     def pretty(self) -> str:
-        # each distinct entry object is rendered once; the entries stay alive
-        # in self during the call, so their ids are stable
-        text: dict[int, str] = {}
-        cells = [[text.get(id(e)) or text.setdefault(id(e), str(e)) for e in row] for row in self.entries]
-        width = max((len(c) for row in cells for c in row), default=0)
-        return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
+        return render_grid(self.rows, self.cols, {(i, j): e for i, row in enumerate(self.entries)
+                                                  for j, e in enumerate(row) if not e.is_zero()})
 
 
 def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -462,6 +461,18 @@ def render_rational(r: RationalFunction) -> str:
     if r.den._c == {0: 1}:
         return render_laurent(r.num)
     return f"({render_laurent(r.num)}) / ({render_laurent(r.den)})"
+
+
+def render_grid(rows: int, cols: int, nonzero: Mapping[tuple[int, int], RationalFunction]) -> str:
+    """A rows x cols matrix from its nonzero entries {(row, col): entry}; each distinct entry
+    object (by id: all stay alive in `nonzero`) and the absent cells' "0" are padded once."""
+    text = {id(e): str(e) for e in nonzero.values()}
+    width = max(map(len, text.values()), default=1)
+    padded = {k: t.rjust(width) for k, t in text.items()}
+    grid = [["0".rjust(width)] * cols for _ in range(rows)]
+    for (i, j), e in nonzero.items():
+        grid[i][j] = padded[id(e)]
+    return "\n".join("[ " + "  ".join(row) + " ]" for row in grid)
 
 
 def parse_laurent(text: str) -> LaurentPoly:

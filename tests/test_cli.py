@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import time
@@ -279,8 +280,13 @@ def test_hecke_error_exit_codes(capsys):
     assert err.startswith("parse error: ")
 
 
-def test_hecke_sigma_checks_its_index(capsys):
-    code, out, err = run(capsys, "hecke", "matrix", "--shape", "2,1", "--op", "sigma", "--i", "99")
+def test_hecke_sigma_checks_its_index(capsys, monkeypatch):
+    import cactusgrowth.hecke as hecke
+
+    # refused before sigma_VV is built
+    with monkeypatch.context() as m:
+        m.setattr(hecke, "sigma_vv", lambda rep: pytest.fail("sigma_vv built for an index out of range"))
+        code, out, err = run(capsys, "hecke", "matrix", "--shape", "2,1", "--op", "sigma", "--i", "99")
     assert code == 3 and out == ""
     assert err.splitlines() == ["domain error: generator index 99 out of range for r=3"]
     code, out, _ = run(capsys, "hecke", "matrix", "--shape", "2,1", "--op", "sigma")
@@ -326,6 +332,25 @@ def test_hecke_shape_that_is_not_a_partition(capsys):
             code, out, err = run(capsys, "hecke", sub, "--shape", shape)
             assert code == 2 and out == ""
             assert err.splitlines() == [f"parse error: shape {shape!r} has no positive part"]
+
+
+def test_hecke_matrix_output_is_pinned_byte_for_byte(capsys):
+    """Every operator at every index, the out-of-range ones included, on every
+    shape with at most 6 boxes: exit code, stdout and stderr hashed in order."""
+    from cactusgrowth.oracles import partitions_of
+
+    h = hashlib.sha256()
+    requests = 0
+    for n in range(1, 7):
+        for shape in partitions_of(n):
+            for op in ("u", "tau", "t", "jm", "sigma"):
+                for i in range(0, n + 1):
+                    code, out, err = run(capsys, "hecke", "matrix", "--shape", ",".join(map(str, shape)),
+                                         "--op", op, "--i", str(i))
+                    h.update(f"{code}\n{out}\n{err}".encode())
+                    requests += 1
+    assert requests == 820
+    assert h.hexdigest() == "d4679f16ac3e3edbe8c698716b9f7245e18ad955dc50d8630a284f7a1b2ceb2a"
 
 
 def test_cylinder_depth_over_the_size_cap(capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from cactusgrowth.hecke import (
     SeminormalRep,
     _coefficients,
     cactus_matrix,
+    generator_entries,
     jm_matrix,
     jm_word_product,
     sigma_vv,
@@ -215,6 +217,25 @@ def test_generators_equal_entrywise_reference():
                     assert m == ref[which], (shape, i, which)
                     fresh = QMatrix([[parse_rational(str(e)) for e in row] for row in m.entries])
                     assert m.pretty() == fresh.pretty(), (shape, i, which)
+
+
+def test_generator_entries_are_the_reference_columns():
+    # at most two nonzeros per column (the diagonal and the swap), and built
+    # densely they are the entrywise reference
+    for n in range(2, 8):
+        for shape in partitions_of(n):
+            rep = SeminormalRep(shape)
+            d = rep.dimension
+            for i in range(1, n):
+                ref = _reference_generators(rep, i)
+                for which in ("u", "tau", "t", "t_inv"):
+                    entries = generator_entries(rep, i, which)
+                    assert not any(c.is_zero() for c in entries.values())
+                    assert max(Counter(k for _, k in entries).values(), default=0) <= 2
+                    dense = [[ZERO] * d for _ in range(d)]
+                    for (j, k), c in entries.items():
+                        dense[j][k] = c
+                    assert QMatrix(dense) == ref[which], (shape, i, which)
 
 
 def test_coefficient_table_is_bounded_by_shape_size():

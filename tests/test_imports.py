@@ -65,6 +65,10 @@ def test_cold_crystal_decompose_loads_only_the_crystal_layers():
 
 def test_cold_hecke_matrix_loads_no_dataclasses_or_fractions():
     loaded = imported_by_command("hecke", "matrix", "--shape", "3,2", "--op", "tau", "--i", "2")
+    assert {m for m in loaded if m.startswith("cactusgrowth")} == {
+        "cactusgrowth", "cactusgrowth.errors", "cactusgrowth.weights", "cactusgrowth.oracles",
+        "cactusgrowth.cactus", "cactusgrowth.qalgebra", "cactusgrowth.hecke",
+    }
     assert not {"dataclasses", "fractions"} & loaded
 
 

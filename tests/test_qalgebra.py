@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import cactusgrowth.qalgebra as qalgebra
 from cactusgrowth.qalgebra import (
     _dense_exact_div,
     DimensionMismatch,
@@ -14,6 +15,7 @@ from cactusgrowth.qalgebra import (
     parse_laurent,
     parse_rational,
     q_int,
+    render_grid,
     render_laurent,
     render_rational,
 )
@@ -168,6 +170,10 @@ def test_field_axioms_randomized():
         assert x * (y + z) == x * y + x * z
         assert x + y == y + x
         assert x * y == y * x
+        # the text kept after canonicalisation is the canonical form's
+        for v in (x, y, z, x + y, x * y):
+            assert str(v) == render_rational(v)
+            assert parse_rational(str(v)) == v
         if not x.is_zero():
             assert x * x.inverse() == one
             assert (x / x) == one
@@ -201,6 +207,34 @@ def test_matmul_identity_and_diag():
     d1 = QMatrix.diagonal([RationalFunction.q_power(1), RationalFunction.q_power(-1)])
     d2 = QMatrix.diagonal([RationalFunction.q_power(-1), RationalFunction.q_power(1)])
     assert matmul(d1, d2) == QMatrix.identity(2)
+
+
+def test_render_grid():
+    assert render_grid(0, 0, {}) == ""
+    assert render_grid(3, 3, {}) == "[ 0  0  0 ]\n[ 0  0  0 ]\n[ 0  0  0 ]"
+    assert render_grid(1, 1, {(0, 0): RationalFunction.one()}) == "[ 1 ]"
+    # every cell is padded to the widest entry, absent ones included
+    wide = RationalFunction(LaurentPoly.one(), q_int(2))
+    assert render_grid(2, 2, {(0, 0): wide, (1, 0): RationalFunction.q_power(1)}) == (
+        "[ (q) / (q^2 + 1)                0 ]\n"
+        "[               q                0 ]")
+    m = QMatrix([[wide, RationalFunction.zero()], [RationalFunction.q_power(1), RationalFunction.zero()]])
+    assert m.pretty() == render_grid(2, 2, {(0, 0): wide, (1, 0): RationalFunction.q_power(1)})
+
+
+def test_render_grid_renders_a_shared_entry_once(monkeypatch):
+    calls = []
+    real = qalgebra.render_rational
+    monkeypatch.setattr(qalgebra, "render_rational", lambda r: calls.append(r) or real(r))
+    x = RationalFunction(q_int(3), q_int(2))
+    text = real(x)
+    zero = "0".rjust(len(text))
+    assert render_grid(2, 3, {(0, 0): x, (1, 1): x, (0, 2): x}) == (
+        f"[ {text}  {zero}  {text} ]\n[ {zero}  {text}  {zero} ]")
+    assert calls == [x]
+    # the text stays with the object
+    render_grid(1, 1, {(0, 0): x})
+    assert calls == [x]
 
 
 def test_matmul_dimension_mismatch():
