@@ -2,9 +2,10 @@
 
 The package has three layers: exact q-arithmetic and Hecke seminormal
 matrices (qalgebra, hecke), the lattice machinery of weights, crystals,
-local moves and growth diagrams (weights, crystal, words, cactus, growth),
-and independent classical tableau algorithms used as cross-checks
-(oracles).  The cli module binds everything into a command-line tool.
+local moves and growth diagrams (weights, crystal, words, cactus, growth,
+windows), and independent classical tableau algorithms used as
+cross-checks (oracles).  The cli module, with commands, binds everything
+into a command-line tool.
 
 `import cactusgrowth` loads no layer: each name of `__all__` is looked up
 in its submodule on first access (PEP 562), so a program pays only for
@@ -20,8 +21,8 @@ _EXPORTS = {
     "words": ("HighestWeightWord", "StepKind", "complete_cell", "tau", "commutor_prefix",
               "word_from_corners", "syt_to_word", "word_to_syt"),
     "cactus": ("CactusGen", "CactusWord", "TauGen", "perm_image", "reduce_to_s1q", "parse_cactus_word"),
-    "growth": ("evacuation", "promotion", "act", "build_cylinder", "wall_cross", "cylinder_from_path",
-               "complete_rectangle"),
+    "growth": ("evacuation", "promotion", "act", "build_cylinder", "wall_cross"),
+    "windows": ("cylinder_from_path", "complete_rectangle"),
     "crystal": ("Crystal", "build_minuscule", "tensor", "tensor_power", "decompose"),
     "qalgebra": ("LaurentPoly", "RationalFunction", "QMatrix", "q_int"),
     "hecke": ("SeminormalRep", "u_matrix", "t_matrix", "tau_matrix", "jm_matrix", "sigma_vv", "cactus_matrix"),

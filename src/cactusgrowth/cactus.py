@@ -6,18 +6,15 @@ and s(p,q) s(k,l) = s(p+q-l, p+q-k) s(p,q) when [k,l] sits inside [p,q].
 No normal form is attempted; equality of group elements is always tested
 through an action (the symmetric-group image or a highest-weight-word
 action).  Composition is right-to-left: the last generator of a word acts
-first.
+first.  The relations as word pairs, and the tau-presentation relators, are
+in suites, their one user.
 """
 from __future__ import annotations
 
 import re
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
-
-
-class BadParams(ValueError):
-    """Relation parameters do not satisfy the relation's side condition."""
 
 
 class CactusGen:
@@ -122,38 +119,6 @@ def act_word(w: CactusWord, x: T, apply_gen: Callable[[CactusGen, T], T]) -> T:
     return x
 
 
-def relation_words(kind: str, params: Sequence[int], r: int) -> tuple[CactusWord, CactusWord]:
-    """The two words a defining relation equates.
-
-    kind 'involution': params (p, q);  s(p,q) s(p,q) = e.
-    kind 'disjoint':   params (p, q, k, l) with [p,q] and [k,l] disjoint:
-                       s(p,q) s(k,l) = s(k,l) s(p,q).
-    kind 'nested':     params (p, q, k, l) with [k,l] inside [p,q]:
-                       s(p,q) s(k,l) = s(p+q-l, p+q-k) s(p,q).
-    """
-    if kind == "involution":
-        p, q = params
-        return word(r, (p, q), (p, q)), word(r)
-    if kind == "disjoint":
-        p, q, k, l = params
-        if not (q < k or l < p):
-            raise BadParams(f"[{p},{q}] and [{k},{l}] are not disjoint")
-        return word(r, (p, q), (k, l)), word(r, (k, l), (p, q))
-    if kind == "nested":
-        p, q, k, l = params
-        if not (p <= k < l <= q):
-            raise BadParams(f"[{k},{l}] is not nested in [{p},{q}]")
-        return word(r, (p, q), (k, l)), word(r, (p + q - l, p + q - k), (p, q))
-    raise BadParams(f"unknown relation kind {kind!r}")
-
-
-def relation_check(kind: str, params: Sequence[int], r: int,
-                   action: Callable[[CactusWord, T], T], x: T) -> bool:
-    """Check a defining relation (see relation_words) on one point of an action."""
-    lhs, rhs = relation_words(kind, params, r)
-    return action(lhs, x) == action(rhs, x)
-
-
 def admissible_pairs(r: int) -> list[tuple[str, tuple[int, ...]]]:
     """Every admissible (kind, params) instance of the defining relations."""
     gens = [(p, q) for p in range(1, r + 1) for q in range(p + 1, r + 1)]
@@ -185,29 +150,6 @@ def s_to_tau(g: CactusGen) -> tuple[int, ...]:
     """s(i,j) as a tau word: q_{j-1} q_{j-i} q_{j-1}."""
     i, j = g.p, g.q
     return q_element(j - 1) + q_element(j - i) + q_element(j - 1)
-
-
-def tau_to_s(t: TauGen, r: int) -> CactusWord:
-    """tau_i as a word in prefix reversals."""
-    i = t.i
-    if i >= r:
-        raise ValueError(f"tau_{i} needs r > {i}")
-    if i == 1:
-        return word(r, (1, 2))
-    if i == 2:
-        return word(r, (1, 2), (1, 3), (1, 2))
-    return word(r, (1, i), (1, i + 1), (1, i), (1, i - 1))
-
-
-def tau_relators(r: int) -> list[tuple[tuple[int, int, int], tuple[int, ...]]]:
-    """The third relation of the tau presentation at r strands: for every
-    i+1 < j < k <= r, the tau word q_{k-1} q_{k-j} q_{k-1} tau_i (a
-    conjugate of tau_i q_{k-1} q_{k-j} q_{k-1}) squares to the identity.
-    Returns ((i, j, k), tau word) pairs."""
-    return [
-        ((i, j, k), q_element(k - 1) + q_element(k - j) + q_element(k - 1) + (i,))
-        for i in range(1, r) for j in range(i + 2, r) for k in range(j + 1, r + 1)
-    ]
 
 
 # -- text grammar ------------------------------------------------------------

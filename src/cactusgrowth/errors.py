@@ -4,8 +4,9 @@ DomainError is the base of every error a well-formed request can meet in
 the mathematics (an invalid step, a dimension mismatch, an index out of
 range, ...); the CLI exits 3 on any of them.  Each layer's own domain
 errors derive from it and from the builtin exception they always had.
-This module imports nothing, so the CLI can catch domain errors without
-loading the layers that raise them.
+UsageError is a request the CLI cannot parse (exit 2).  This module
+imports nothing, so the CLI can catch both without loading the layers that
+raise them.
 """
 
 
@@ -21,3 +22,7 @@ class DomainError(Exception):
 class SizeLimit(RuntimeError, DomainError):
     """A materialized object (tensor power, Hecke basis, cylindrical window)
     would exceed the configured element cap."""
+
+
+class UsageError(Exception):
+    """A command line the CLI refuses before any layer runs."""

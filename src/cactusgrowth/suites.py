@@ -3,8 +3,8 @@
 Each suite function returns a SuiteReport with the number of checks run and
 a list of failure descriptions (empty on success).  All checks are exact;
 there are no tolerances anywhere.  The cactus relations are read from
-cactus.relation_words and the tau-presentation relators from
-cactus.tau_relators, both for the word action and for seminormal matrices;
+relation_words and the tau-presentation relators from tau_relators, both
+for the word action and for seminormal matrices;
 check_hecke_shape is the identity battery of one Hecke shape, run by
 check_hecke on every shape and by `hecke check` on one.
 """
@@ -15,11 +15,70 @@ from typing import Callable, Sequence
 
 from . import cactus as cact
 from . import crystal as crys
-from . import growth, hecke, oracles, words
-from .cactus import CactusGen, CactusWord
+from . import growth, hecke, oracles, windows, words
+from .cactus import CactusGen, CactusWord, TauGen, q_element, word
 from .qalgebra import LaurentPoly, QMatrix, RationalFunction, q_int
 from .weights import GL, SL2, SP, CartanContext, dom, dominant, weyl_orbit
 from .words import StepKind, enumerate_hw_words
+
+
+class BadParams(ValueError):
+    """Relation parameters do not satisfy the relation's side condition."""
+
+
+def relation_words(kind: str, params: Sequence[int], r: int) -> tuple[CactusWord, CactusWord]:
+    """The two words a defining relation equates.
+
+    kind 'involution': params (p, q);  s(p,q) s(p,q) = e.
+    kind 'disjoint':   params (p, q, k, l) with [p,q] and [k,l] disjoint:
+                       s(p,q) s(k,l) = s(k,l) s(p,q).
+    kind 'nested':     params (p, q, k, l) with [k,l] inside [p,q]:
+                       s(p,q) s(k,l) = s(p+q-l, p+q-k) s(p,q).
+    """
+    if kind == "involution":
+        p, q = params
+        return word(r, (p, q), (p, q)), word(r)
+    if kind == "disjoint":
+        p, q, k, l = params
+        if not (q < k or l < p):
+            raise BadParams(f"[{p},{q}] and [{k},{l}] are not disjoint")
+        return word(r, (p, q), (k, l)), word(r, (k, l), (p, q))
+    if kind == "nested":
+        p, q, k, l = params
+        if not (p <= k < l <= q):
+            raise BadParams(f"[{k},{l}] is not nested in [{p},{q}]")
+        return word(r, (p, q), (k, l)), word(r, (p + q - l, p + q - k), (p, q))
+    raise BadParams(f"unknown relation kind {kind!r}")
+
+
+def relation_check(kind: str, params: Sequence[int], r: int,
+                   action: Callable[[CactusWord, object], object], x: object) -> bool:
+    """Check a defining relation (see relation_words) on one point of an action."""
+    lhs, rhs = relation_words(kind, params, r)
+    return action(lhs, x) == action(rhs, x)
+
+
+def tau_to_s(t: TauGen, r: int) -> CactusWord:
+    """tau_i as a word in prefix reversals."""
+    i = t.i
+    if i >= r:
+        raise ValueError(f"tau_{i} needs r > {i}")
+    if i == 1:
+        return word(r, (1, 2))
+    if i == 2:
+        return word(r, (1, 2), (1, 3), (1, 2))
+    return word(r, (1, i), (1, i + 1), (1, i), (1, i - 1))
+
+
+def tau_relators(r: int) -> list[tuple[tuple[int, int, int], tuple[int, ...]]]:
+    """The third relation of the tau presentation at r strands: for every
+    i+1 < j < k <= r, the tau word q_{k-1} q_{k-j} q_{k-1} tau_i (a
+    conjugate of tau_i q_{k-1} q_{k-j} q_{k-1}) squares to the identity.
+    Returns ((i, j, k), tau word) pairs."""
+    return [
+        ((i, j, k), q_element(k - 1) + q_element(k - j) + q_element(k - 1) + (i,))
+        for i in range(1, r) for j in range(i + 2, r) for k in range(j + 1, r + 1)
+    ]
 
 
 class SuiteReport:
@@ -87,14 +146,14 @@ def check_cactus(r_max: int = 6) -> SuiteReport:
         pairs = cact.admissible_pairs(r)
         for kind, params in pairs:
             rep.ok(
-                cact.relation_check(kind, params, r, lambda w, x: _perm_on(w, x), tuple(range(1, r + 1))),
+                relation_check(kind, params, r, lambda w, x: _perm_on(w, x), tuple(range(1, r + 1))),
                 f"perm image fails {kind} {params} at r={r}",
             )
         for name, ctx, kinds in standard_word_suites(r):
             all_words, tables = _action_tables(ctx, kinds)
             n = len(all_words)
             for kind, params in pairs:
-                lhs, rhs = cact.relation_words(kind, params, r)
+                lhs, rhs = relation_words(kind, params, r)
                 good = all(_apply(tables, lhs, x) == _apply(tables, rhs, x) for x in range(n))
                 rep.ok(good, f"{name} r={r}: {kind} {params} fails on the word action")
             # tau involutivity and distant commutation on the same families
@@ -124,7 +183,7 @@ def check_cactus(r_max: int = 6) -> SuiteReport:
                 tau_word = cact.s_to_tau(g)
                 perm = tuple(range(1, r + 1))
                 for i in reversed(tau_word):
-                    perm = _perm_on(cact.tau_to_s(cact.TauGen(i), r), perm)
+                    perm = _perm_on(tau_to_s(TauGen(i), r), perm)
                 rep.ok(
                     perm == _perm_on(CactusWord(r, (g,)), tuple(range(1, r + 1))),
                     f"tau dictionary round trip fails for s({p},{q}) at r={r}",
@@ -144,7 +203,7 @@ def check_tau_presentation(r: int = 5) -> SuiteReport:
     rep = SuiteReport(f"tau presentation (r = {r})")
     for name, ctx, kinds in standard_word_suites(r)[:2]:
         all_words = enumerate_hw_words(ctx, kinds)
-        for (i, j, k), seq in cact.tau_relators(r):
+        for (i, j, k), seq in tau_relators(r):
             good = all(words.tau_word(w, seq * 2) == w for w in all_words)
             rep.ok(good, f"{name}: (tau_{i} q_{k-1} q_{k-j} q_{k-1})^2 != 1")
     return rep
@@ -243,14 +302,14 @@ def check_hecke_cactus(r_max: int = 4, max_boxes: int = 4, bk_r: int = 5) -> Sui
                 continue
             srep = hecke.SeminormalRep(shape)
             for kind, params in cact.admissible_pairs(r):
-                lhs, rhs = cact.relation_words(kind, params, r)
+                lhs, rhs = relation_words(kind, params, r)
                 rep.ok(hecke.cactus_matrix(lhs, srep) == hecke.cactus_matrix(rhs, srep),
                        f"{shape}: {kind} {params} fails")
     # (tau_i q_{k-1} q_{k-j} q_{k-1})^2 = 1, admissible triples at r = bk_r
     for shape in oracles.partitions_of(bk_r):
         srep = hecke.SeminormalRep(shape)
         ident = QMatrix.identity(srep.dimension)
-        for (i, j, k), seq in cact.tau_relators(bk_r):
+        for (i, j, k), seq in tau_relators(bk_r):
             m = hecke.tau_word_matrix(seq, srep)
             rep.ok(m * m == ident, f"{shape}: (tau_{i} q_{k-1} q_{k-j} q_{k-1})^2 != 1")
     return rep
@@ -408,7 +467,7 @@ def _rectify_via_rectangle(base: crys.Crystal, power: crys.Crystal, r: int, x: i
     base_point = left.corners[-1]
     path = _letters_path(base, power, r, x)
     top = [tuple(a + b for a, b in zip(base_point, c)) for c in path]
-    return growth.complete_rectangle(ctx, top, left.corners).bottom_row()[1:]
+    return windows.complete_rectangle(ctx, top, left.corners).bottom_row()[1:]
 
 
 def _associativity_holds(c: crys.Crystal, max_size: int | None = None) -> bool:
@@ -503,7 +562,7 @@ def check_wall_crossing(r_max: int = 5, depth: int = 4) -> SuiteReport:
                         crossed.row_word(0) == direct,
                         f"r={r}, s({p},{q}) on {w}: wall crossing disagrees with the action",
                     )
-                    rep.ok(growth.validate_window(crossed), f"r={r}: crossed window invalid")
+                    rep.ok(windows.validate_window(crossed), f"r={r}: crossed window invalid")
     return rep
 
 

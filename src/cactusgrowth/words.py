@@ -16,9 +16,9 @@ calls, and in HighestWeightWord.corner.
 A word is validated once, where it comes in: word_from_corners and
 word_from_json without explicit steps check it in one pass (the lengths,
 each step's inferred kind, which is the step check, the zero start, each
-corner's dominance) and build it with HighestWeightWord._trusted.  The
-public constructor and input with explicit steps still check in full, and
-so do the words that growth and tau output.
+corner's dominance) and build it with HighestWeightWord._trusted, as does
+enumerate_hw_words.  The public constructor and input with explicit steps
+check in full, and so do the words that growth and tau output.
 """
 from __future__ import annotations
 
@@ -348,7 +348,7 @@ def check_word_json(obj) -> None:
 def word_from_json(obj: dict) -> HighestWeightWord:
     check_word_json(obj)
     ctx = CartanContext(obj["context"]["family"], obj["context"]["rank"])
-    if obj.get("steps"):
+    if obj.get("steps") is not None:
         steps = tuple(parse_step_kind(s) for s in obj["steps"])
         return word_from_corners(ctx, obj["corners"], steps)
     # check_word_json has typed every coordinate as an int
@@ -398,7 +398,9 @@ def word_to_syt(w: HighestWeightWord) -> tuple[tuple[int, ...], ...]:
 
 
 def enumerate_hw_words(ctx: CartanContext, kinds: Sequence[StepKind]) -> list[HighestWeightWord]:
-    """All highest weight words with the given factor sequence."""
+    """All highest weight words with the given factor sequence, built unchecked:
+    each corner is the last plus an element of the kind's orbit (kind.orbit
+    raises InvalidStep for a kind invalid in ctx), kept when it is dominant."""
     zero = (0,) * ctx.rank
     partial: list[tuple[tuple[int, ...], ...]] = [(zero,)]
     for kind in kinds:
@@ -411,4 +413,5 @@ def enumerate_hw_words(ctx: CartanContext, kinds: Sequence[StepKind]) -> list[Hi
                 if dominant(ctx.family, nxt):
                     grown.append(corners + (nxt,))
         partial = grown
-    return [HighestWeightWord(ctx, tuple(kinds), corners) for corners in partial]
+    steps = tuple(kinds)
+    return [HighestWeightWord._trusted(ctx, steps, corners) for corners in partial]

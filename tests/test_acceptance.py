@@ -18,7 +18,7 @@ import pytest
 
 from cactusgrowth import suites, words
 from cactusgrowth.cactus import CactusGen, CactusWord, reduce_to_s1q
-from cactusgrowth.growth import act, build_cylinder, evacuation, promotion, validate_window, wall_cross
+from cactusgrowth.growth import act, build_cylinder, evacuation, promotion, wall_cross
 from cactusgrowth.oracles import (
     Partition,
     SemistandardTableau,
@@ -32,6 +32,7 @@ from cactusgrowth.oracles import (
     tableau_from_dual_sequence,
 )
 from cactusgrowth.weights import GL, SP, CartanContext
+from cactusgrowth.windows import validate_window
 from cactusgrowth.words import word_from_corners
 
 

@@ -1,7 +1,6 @@
 import pytest
 
 from cactusgrowth.cactus import (
-    BadParams,
     CactusGen,
     CactusWord,
     TauGen,
@@ -11,13 +10,10 @@ from cactusgrowth.cactus import (
     perm_image,
     q_element,
     reduce_to_s1q,
-    relation_check,
-    relation_words,
     s_to_tau,
-    tau_relators,
-    tau_to_s,
     word,
 )
+from cactusgrowth.suites import BadParams, relation_check, relation_words, tau_relators, tau_to_s
 
 
 def test_gen_perm_formula():

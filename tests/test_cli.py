@@ -6,6 +6,7 @@ import time
 import pytest
 
 import cactusgrowth.cli as cli
+import cactusgrowth.commands as commands
 import cactusgrowth.crystal as crystal_module
 import cactusgrowth.growth as growth_module
 from cactusgrowth import suites
@@ -221,6 +222,13 @@ def assert_one_line_exit_2(code, out, err):
 ])
 def test_malformed_tableau_json_exit_2(capsys, argv):
     assert_one_line_exit_2(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("op", ["evacuate", "promote", "bk", "dk"])
+def test_oracle_with_two_tableau_sources_exit_2(capsys, op):
+    code, out, err = run(capsys, "oracle", op, "--tableau", "12/3", "--json", "[[1]]", "--i", "1")
+    assert_one_line_exit_2(code, out, err)
+    assert err == "usage error: provide exactly one of --tableau, --json\n"
 
 
 @pytest.mark.parametrize("argv", [["--family", "GL", "--rank", "0"], ["--family", "SL2", "--rank", "2"],
@@ -518,7 +526,8 @@ REFUSED = [
 def test_parser_table_matches_the_recorded_argparse_results(capsys):
     for argv, expected in PARSED:
         ns = vars(build_parser().parse_args(list(argv)))
-        assert ns.pop("fn") is getattr(cli, f"cmd_{ns['cmd']}")
+        home = cli if ns["cmd"] in ("act", "evacuate", "promote", "tau") else commands
+        assert ns.pop("fn") is getattr(home, f"cmd_{ns['cmd']}")
         assert ns == {**GLOBAL_DEFAULTS, **expected}, argv
     for argv, line in REFUSED:
         assert run(capsys, *argv) == (2, "", line + "\n"), argv
@@ -564,9 +573,7 @@ def test_demo_all(capsys):
 
 
 def test_demo_exit_1_on_mismatch(capsys, monkeypatch):
-    import cactusgrowth.cli as cli
-
-    real = cli._load_fixture
+    real = commands._load_fixture
 
     def corrupted(name):
         fix = real(name)
@@ -575,7 +582,7 @@ def test_demo_exit_1_on_mismatch(capsys, monkeypatch):
             fix["rows"][1][2] = [2, 0]  # not the promotion of row 0
         return fix
 
-    monkeypatch.setattr(cli, "_load_fixture", corrupted)
+    monkeypatch.setattr(commands, "_load_fixture", corrupted)
     code = main(["demo", "gl-window"])
     out = capsys.readouterr().out
     assert code == 1
@@ -598,7 +605,7 @@ DOMAIN_ERRORS = [
     ("crystal", "SizeLimit", RuntimeError),
     ("qalgebra", "DimensionMismatch", ValueError),
     ("qalgebra", "DivisionByZero", ZeroDivisionError),
-    ("growth", "BadPath", ValueError),
+    ("windows", "BadPath", ValueError),
     ("hecke", "IndexOutOfRange", ValueError),
     ("oracles", "StripViolation", ValueError),
 ]
@@ -686,6 +693,21 @@ def test_word_json_with_null_steps_infers_them(capsys):
     payload = {"context": {"family": "GL", "rank": 2}, "steps": None, "corners": [[0, 0], [1, 0], [1, 1]]}
     code, out, _ = run(capsys, "evacuate", "--json", json.dumps(payload))
     assert code == 0 and json.loads(out)["steps"] == ["vector", "vector"]
+
+
+def test_word_json_with_no_steps_for_its_corners_exit_2(capsys):
+    """An empty step list is a step list: it is checked, not a cue to infer."""
+    payload = {"context": {"family": "GL", "rank": 2}, "steps": [], "corners": [[0, 0], [1, 0], [1, 1]]}
+    code, out, err = run(capsys, "evacuate", "--json", json.dumps(payload))
+    assert_one_line_exit_2(code, out, err)
+    assert err == "parse error: 0 steps need 1 corners, got 3\n"
+
+
+def test_zero_step_word_json_round_trips(capsys):
+    payload = {"context": {"family": "Sp", "rank": 2}, "steps": [], "corners": [[0, 0]]}
+    for command in (["evacuate"], ["act", "--word", ""]):
+        code, out, err = run(capsys, *command, "--json", json.dumps(payload))
+        assert code == 0 and err == "" and json.loads(out) == payload
 
 
 def test_tensor_power_of_a_one_element_crystal_at_the_cap_is_quick(capsys):

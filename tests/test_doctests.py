@@ -3,7 +3,7 @@ import importlib
 
 import pytest
 
-MODULES = ("qalgebra", "weights", "crystal", "words", "cactus", "growth", "oracles", "hecke")
+MODULES = ("qalgebra", "weights", "crystal", "words", "cactus", "growth", "windows", "oracles", "hecke")
 
 
 @pytest.mark.parametrize("name", MODULES)

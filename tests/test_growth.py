@@ -5,21 +5,17 @@ import pytest
 
 from cactusgrowth.cactus import CactusGen, CactusWord, parse_cactus_word, reduce_to_s1q, word as cword
 from cactusgrowth.growth import (
-    BadPath,
     CylWindow,
     act,
     build_cylinder,
-    complete_rectangle,
-    cylinder_from_path,
     evacuation,
     promotion,
     promotion_inverse,
     prefix_reversal,
-    render_window_ascii,
     triangle_rows,
-    validate_window,
     wall_cross,
 )
+from cactusgrowth.windows import BadPath, complete_rectangle, cylinder_from_path, render_window_ascii, validate_window
 from cactusgrowth.oracles import enumerate_syt, evacuation_oracle, partitions_of, promotion_oracle, syt_from_string
 from cactusgrowth.weights import CartanContext, dominant
 from cactusgrowth.words import (
@@ -392,7 +388,8 @@ def test_window_ascii_render():
 
 def test_tau_equals_its_prefix_reversal_word():
     # the local move at i acts exactly like its dictionary word in s(1,*)
-    from cactusgrowth.cactus import TauGen, tau_to_s
+    from cactusgrowth.cactus import TauGen
+    from cactusgrowth.suites import tau_to_s
     from cactusgrowth.words import tau
 
     for ctx, r in ((GL2, 5), (SP4, 4), (GL3, 4)):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cactusgrowth.cactus import CactusGen, CactusWord, admissible_pairs, relation_words, s_to_tau
+from cactusgrowth.cactus import CactusGen, CactusWord, admissible_pairs, s_to_tau
 from cactusgrowth.hecke import (
     IndexOutOfRange,
     SeminormalRep,
@@ -22,6 +22,7 @@ from cactusgrowth.hecke import (
 )
 from cactusgrowth.oracles import StandardTableau, partitions_of, syt_from_string
 from cactusgrowth.qalgebra import LaurentPoly, QMatrix, RationalFunction, parse_rational, q_int
+from cactusgrowth.suites import relation_words
 
 ONE = RationalFunction.one()
 ZERO = RationalFunction.zero()

@@ -10,14 +10,15 @@ import pytest
 
 import cactusgrowth
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 WORD = '{"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [3, 2], [3, 3]]}'
 
 
-def python(*args: str) -> subprocess.CompletedProcess:
+def python(*args: str, cwd: str | None = None) -> subprocess.CompletedProcess:
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, cwd=cwd)
 
 
 def loaded_by(statement: str) -> set[str]:
@@ -42,12 +43,24 @@ def imported_by_command(*argv: str) -> set[str]:
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
 
 
+# The source lines a cold `act` compiles: the package modules it imports and
+# cli itself, which runs as __main__.
+COLD_ACT_LINES = 1455
+
+
 def test_cold_act_loads_only_the_layers_it_runs():
     loaded = imported_by_command("act", "--word", "s(1,6) s(2,6)", "--json", WORD)
-    assert {m for m in loaded if m.startswith("cactusgrowth")} == {
+    package = {m for m in loaded if m.startswith("cactusgrowth")}
+    assert package == {
         "cactusgrowth", "cactusgrowth.errors", "cactusgrowth.weights", "cactusgrowth.words",
         "cactusgrowth.cactus", "cactusgrowth.growth",
     }
+    assert not {"cactusgrowth.commands", "cactusgrowth.windows"} & loaded
+    lines = 0
+    for name in package | {"cactusgrowth.cli"}:
+        with open(os.path.join(SRC, "cactusgrowth", (name.partition(".")[2] or "__init__") + ".py")) as fh:
+            lines += len(fh.readlines())
+    assert lines <= COLD_ACT_LINES
     # value classes are plain __slots__ classes: no dataclass machinery
     assert not {"dataclasses", "inspect"} & loaded
     # arguments are parsed from the cli module's own table, not by argparse
@@ -57,8 +70,8 @@ def test_cold_act_loads_only_the_layers_it_runs():
 def test_cold_crystal_decompose_loads_only_the_crystal_layers():
     loaded = imported_by_command("crystal", "decompose", "--family", "Sp", "--rank", "2", "--r", "4")
     assert {m for m in loaded if m.startswith("cactusgrowth")} == {
-        "cactusgrowth", "cactusgrowth.errors", "cactusgrowth.weights", "cactusgrowth.words",
-        "cactusgrowth.crystal",
+        "cactusgrowth", "cactusgrowth.commands", "cactusgrowth.errors", "cactusgrowth.weights",
+        "cactusgrowth.words", "cactusgrowth.crystal",
     }
     assert not {"dataclasses", "fractions"} & loaded
 
@@ -66,8 +79,8 @@ def test_cold_crystal_decompose_loads_only_the_crystal_layers():
 def test_cold_hecke_matrix_loads_no_dataclasses_or_fractions():
     loaded = imported_by_command("hecke", "matrix", "--shape", "3,2", "--op", "tau", "--i", "2")
     assert {m for m in loaded if m.startswith("cactusgrowth")} == {
-        "cactusgrowth", "cactusgrowth.errors", "cactusgrowth.weights", "cactusgrowth.oracles",
-        "cactusgrowth.cactus", "cactusgrowth.qalgebra", "cactusgrowth.hecke",
+        "cactusgrowth", "cactusgrowth.commands", "cactusgrowth.errors", "cactusgrowth.weights",
+        "cactusgrowth.oracles", "cactusgrowth.cactus", "cactusgrowth.qalgebra", "cactusgrowth.hecke",
     }
     assert not {"dataclasses", "fractions"} & loaded
 
@@ -95,6 +108,37 @@ def test_exit_codes_hold_after_the_package_is_imported_afresh():
     proc = python("-c", code)
     assert proc.returncode == 3 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("domain error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "bk", "--tableau", "12/3"],  # refused in commands: no --i
+    ["act", "--word", "s(1,2)", "--json", WORD, "--demo", "fig-cat-A"],  # refused in cli: two sources
+])
+def test_usage_errors_hold_after_the_package_is_imported_afresh(argv):
+    """A cli module imported before a fresh import of the package still
+    exits 2 on a usage error, whether the cli module it holds raises it or
+    a commands module imported afresh does."""
+    code = (
+        "import sys\n"
+        "import cactusgrowth.cli as old\n"
+        "for name in [n for n in sys.modules if n.startswith('cactusgrowth')]:\n"
+        "    del sys.modules[name]\n"
+        "import cactusgrowth\n"
+        f"codes = [old.main({argv!r}) for _ in range(2)]\n"
+        "sys.exit(10 * codes[0] + codes[1])\n"
+    )
+    proc = python("-c", code)
+    assert proc.returncode == 22 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1] and lines[0].startswith("usage error: ")
+
+
+def test_the_benchmark_binds_every_name_it_uses():
+    """perfbench binds the program's functions by module and name at set-up;
+    a name moved away from where it binds it fails here, not in a benchmark run."""
+    code = 'import sys; sys.path[:0] = ["perfbench", "src"]; from layers import Calls, fresh_import; Calls(fresh_import())'
+    proc = python("-c", code, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", cactusgrowth.__all__)

@@ -5,16 +5,9 @@ them and a full prefix reversal reverses them; these tests pin that
 bookkeeping on exhaustive mixed families.
 """
 from cactusgrowth.cactus import CactusGen, CactusWord, admissible_pairs
-from cactusgrowth.growth import (
-    act,
-    build_cylinder,
-    evacuation,
-    promotion,
-    promotion_inverse,
-    validate_window,
-    wall_cross,
-)
+from cactusgrowth.growth import act, build_cylinder, evacuation, promotion, promotion_inverse, wall_cross
 from cactusgrowth.weights import CartanContext
+from cactusgrowth.windows import validate_window
 from cactusgrowth.words import VECTOR, enumerate_hw_words, exterior, tau
 
 GL3 = CartanContext("GL", 3)

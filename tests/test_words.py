@@ -241,7 +241,7 @@ def test_commutor_prefix_single():
 
 def test_commutor_prefix_matches_rectangle():
     # moving the first factor past the rest equals a one-row rectangle
-    from cactusgrowth.growth import complete_rectangle
+    from cactusgrowth.windows import complete_rectangle
 
     for word in enumerate_hw_words(SL2, tuple([VECTOR]) * 3):
         moved = commutor_prefix(word, 1)
@@ -282,6 +282,38 @@ def test_enumerate_counts_match_syt():
     words4 = enumerate_hw_words(GL2, (VECTOR,) * 4)
     expected = sum(len(enumerate_syt(s)) for s in partitions_of(4) if len(s) <= 2)
     assert len(words4) == expected
+
+
+# every kind of GL(1..4), Sp(4), Sp(6) and SL2, and a mixed GL(4) sequence
+ENUMERATED = [(ctx, (kind,)) for ctx in [CartanContext("GL", n) for n in range(1, 5)] + [SP4, SL2]
+              for kind in family_kinds(ctx)]
+ENUMERATED += [(CartanContext("Sp", 3), (VECTOR,)), (GL4, (VECTOR, exterior(2), exterior(3), VECTOR, exterior(2)))]
+
+
+@pytest.mark.parametrize("ctx, cycle", ENUMERATED, ids=[f"{c} {' '.join(map(str, k))}" for c, k in ENUMERATED])
+def test_enumeration_is_what_the_checked_constructor_builds(ctx, cycle):
+    """enumerate_hw_words builds its words unchecked: the checked constructor
+    accepts each, in the same order; for r <= 4 they are every corner
+    sequence of orbit steps that it accepts."""
+    for r in range(7):
+        kinds = (cycle * r)[:r]
+        words = enumerate_hw_words(ctx, kinds)
+        assert [HighestWeightWord(ctx, kinds, x.corners) for x in words] == words
+        if r <= 4:
+            accepted = set()
+            for diffs in product(*(sorted(k.orbit(ctx)) for k in kinds)):
+                corners = [(0,) * ctx.rank]
+                for d in diffs:
+                    corners.append(tuple(a + b for a, b in zip(corners[-1], d)))
+                if isinstance(outcome(lambda: HighestWeightWord(ctx, kinds, tuple(corners))), HighestWeightWord):
+                    accepted.add(tuple(corners))
+            assert {x.corners for x in words} == accepted and len(words) == len(accepted)
+
+
+@pytest.mark.parametrize("ctx, kind", [(GL2, exterior(5)), (GL2, SL2_STEP), (SP4, exterior(2))], ids=str)
+def test_enumeration_refuses_a_kind_invalid_in_its_context(ctx, kind):
+    with pytest.raises(InvalidStep):
+        enumerate_hw_words(ctx, (VECTOR, kind))
 
 
 def test_word_count_shape_3_3():
