@@ -17,10 +17,10 @@ error, 3 domain error (invalid step, dimension mismatch, ...).
 # file imports only the standard library, and each handler imports the
 # layers it calls where it calls them, so `act` never loads the crystals,
 # the Hecke algebra, the oracles or the verification suites, and the
-# handlers other than act, evacuate, promote and tau are in commands.  In
-# process those imports run on every request; the absolute form
-# `import cactusgrowth.x as x` costs about a third of `from . import x`,
-# which calls back into importlib's Python code.
+# handlers other than act are in commands.  In process those imports run
+# on every request; the absolute form `import cactusgrowth.x as x` costs
+# about a third of `from . import x`, which calls back into importlib's
+# Python code.
 from __future__ import annotations
 
 import json
@@ -69,7 +69,7 @@ def _emit_word(w: HighestWeightWord, fmt: str) -> None:
     else:
         import cactusgrowth.words as words
 
-        print(json.dumps(words.word_to_json(w)))
+        print(words.json_text(w.context, w.steps, "corners", w.corners))
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -86,39 +86,11 @@ def cmd_act(args) -> int:
     return EXIT_OK
 
 
-def cmd_evacuate(args) -> int:
-    import cactusgrowth.growth as growth
-
-    w = _read_word(args)
-    if args.format == "ascii" and args.show_diagram:
-        import cactusgrowth.windows as windows
-
-        print(windows.render_triangle_ascii(w))
-    _emit_word(growth.evacuation(w), args.format)
-    return EXIT_OK
-
-
-def cmd_promote(args) -> int:
-    import cactusgrowth.growth as growth
-
-    w = _read_word(args)
-    _emit_word(growth.promotion(w), args.format)
-    return EXIT_OK
-
-
-def cmd_tau(args) -> int:
-    import cactusgrowth.words as words
-
-    w = _read_word(args)
-    _emit_word(words.tau(w, args.i), args.format)
-    return EXIT_OK
-
-
 # suite -> (kwargs under --tiny, kwargs otherwise).  The full bounds are the
 # acceptance bounds; --r and --maxsize replace the r_max and max_boxes they
-# name there, and --seed replaces seed in both.  Its keys, in the order of
-# suites.ALL_SUITES, are also the choices of `verify`, so building the parser
-# does not load the suites.
+# name there (--tiny refuses both), and --seed replaces seed in both.  Its
+# keys, in the order of suites.ALL_SUITES, are also the choices of `verify`,
+# so building the parser does not load the suites.
 _SUITE_BOUNDS: dict[str, tuple[dict, dict]] = {
     "algebra": ({"seed": 0}, {"seed": 0}),
     "weights": ({}, {}),

@@ -1,14 +1,13 @@
-"""The CLI handlers other than act, evacuate, promote and tau, and the
-demo inputs.  cli imports this module when a request first needs it, so a
-cold `act` does not compile it; each handler imports its layers where it
-calls them, as in cli.
+"""The CLI handlers other than act, and the demo inputs.  cli imports this
+module when a request first needs it, so a cold `act` does not compile it;
+each handler imports its layers where it calls them, as in cli.
 """
 from __future__ import annotations
 
 import json
 from typing import TYPE_CHECKING
 
-from .cli import _SUITE_BOUNDS, EXIT_OK, EXIT_VERIFY, _read_word, _usage
+from .cli import _SUITE_BOUNDS, EXIT_OK, EXIT_VERIFY, _emit_word, _read_word, _usage
 
 if TYPE_CHECKING:
     from .oracles import StandardTableau
@@ -50,6 +49,34 @@ def _demo_word(name: str) -> HighestWeightWord:
     raise ValueError(f"unknown demo input {name!r}")
 
 
+def cmd_evacuate(args) -> int:
+    import cactusgrowth.growth as growth
+
+    w = _read_word(args)
+    if args.format == "ascii" and args.show_diagram:
+        import cactusgrowth.windows as windows
+
+        print(windows.render_triangle_ascii(w))
+    _emit_word(growth.evacuation(w), args.format)
+    return EXIT_OK
+
+
+def cmd_promote(args) -> int:
+    import cactusgrowth.growth as growth
+
+    w = _read_word(args)
+    _emit_word(growth.promotion(w), args.format)
+    return EXIT_OK
+
+
+def cmd_tau(args) -> int:
+    import cactusgrowth.words as words
+
+    w = _read_word(args)
+    _emit_word(words.tau(w, args.i), args.format)
+    return EXIT_OK
+
+
 def cmd_cylinder(args) -> int:
     import cactusgrowth.errors as errors
     import cactusgrowth.growth as growth
@@ -65,8 +92,9 @@ def cmd_cylinder(args) -> int:
 
         print(windows.render_window_ascii(win))
     else:
-        print(json.dumps({"context": {"family": win.context.family, "rank": win.context.rank},
-                          "steps": [str(s) for s in win.steps], "rows": [[list(c) for c in row] for row in win.rows]}))
+        import cactusgrowth.words as words
+
+        print(words.json_text(win.context, win.steps, "rows", win.rows))
     return EXIT_OK
 
 
@@ -216,7 +244,8 @@ def cmd_hecke(args) -> int:
         text = hecke.sigma_vv(srep).pretty()
     else:
         raise _usage(f"unknown operator {op!r}")
-    print("basis:", " ".join(str(t) for t in srep.basis))
+    # str(t) of each basis tableau, in one join
+    print("basis: " + " ".join(["/".join(["".join(map(str, row)) for row in t.rows]) for t in srep.basis]))
     print(text)
     return EXIT_OK
 
@@ -224,13 +253,13 @@ def cmd_hecke(args) -> int:
 def cmd_verify(args) -> int:
     import cactusgrowth.suites as suites
 
+    if args.tiny and (args.r is not None or args.maxsize is not None):
+        raise _usage("--tiny sets its own bounds: drop --r and --maxsize")
     for flag, bound in (("--r", args.r), ("--maxsize", args.maxsize)):
         if bound is not None and bound < 2:
             raise _usage(f"{flag} must be at least 2, got {bound}")
     names = list(suites.ALL_SUITES) if args.suite == "all" else [args.suite]
-    overrides = {"seed": args.seed}
-    if not args.tiny:
-        overrides.update(r_max=args.r, max_boxes=args.maxsize)
+    overrides = {"seed": args.seed, "r_max": args.r, "max_boxes": args.maxsize}
     failures = 0
     checks = 0
     for name in names:

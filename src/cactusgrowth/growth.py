@@ -17,8 +17,9 @@ wall_cross reaches the same word through a cylindrical window and shares
 nothing with act_gen beyond the local rule, so it is the independent check.
 
 Corners are plain int tuples, and every cell is filled with
-weights.local_rule.  Weight appears only in triangle_rows, whose rows the
-benchmark's layer probe reads.
+weights.local_rule, which keeps words valid: evacuation, promotion_inverse
+and prefix_reversal build theirs unchecked; act_gen and promotion check.
+Weight appears only in triangle_rows, whose rows the layer probe reads.
 """
 from __future__ import annotations
 
@@ -63,18 +64,15 @@ def evacuation(w: HighestWeightWord) -> HighestWeightWord:
     r = w.r
     # gamma(a, b) sits at rows[a][b - a]; the right edge is column b = r
     corners = tuple(rows[r - k][k] for k in range(r + 1))
-    return HighestWeightWord(w.context, tuple(reversed(w.steps)), corners)
+    return HighestWeightWord._trusted(w.context, w.steps[::-1], corners)
 
 
 def prefix_reversal(w: HighestWeightWord, q: int) -> HighestWeightWord:
     """Apply s(1,q): evacuate the length-q prefix, fixing the suffix corners."""
     if not 2 <= q <= w.r:
         raise ValueError(f"prefix length {q} out of range for r={w.r}")
-    prefix = HighestWeightWord(w.context, w.steps[:q], w.corners[: q + 1])
-    ev = evacuation(prefix)
-    steps = ev.steps + w.steps[q:]
-    corners = ev.corners + w.corners[q + 1:]
-    return HighestWeightWord(w.context, steps, corners)
+    ev = evacuation(HighestWeightWord._trusted(w.context, w.steps[:q], w.corners[: q + 1]))
+    return HighestWeightWord._trusted(w.context, ev.steps + w.steps[q:], ev.corners + w.corners[q + 1:])
 
 
 def act_gen(g: CactusGen, w: HighestWeightWord) -> HighestWeightWord:
@@ -123,7 +121,9 @@ def promotion(w: HighestWeightWord) -> HighestWeightWord:
     """Bottom edge of the two-row growth diagram with top edge w.
 
     Equals the action of s(1,r) s(2,r); the factor sequence rotates one
-    step to the left.
+    step to the left.  The output is checked, as act_gen's: wall_cross builds
+    windows by promotion on every pass of the cactus_tables benchmark, whose
+    memory grows with the operations it times (ROADMAP items 1(b) and 3).
     """
     r, c = w.r, w.corners
     if r == 0:
@@ -133,8 +133,7 @@ def promotion(w: HighestWeightWord) -> HighestWeightWord:
     for j in range(1, r):
         bottom.append(local_rule(fam, bottom[-1], c[j], c[j + 1]))
     bottom.append(c[r])
-    steps = w.steps[1:] + (w.steps[0],)
-    return HighestWeightWord(w.context, steps, tuple(bottom))
+    return HighestWeightWord(w.context, w.steps[1:] + w.steps[:1], tuple(bottom))
 
 
 def promotion_inverse(w: HighestWeightWord) -> HighestWeightWord:
@@ -146,8 +145,7 @@ def promotion_inverse(w: HighestWeightWord) -> HighestWeightWord:
     top = list(c)
     for j in range(r - 1, 0, -1):
         top[j] = local_rule(fam, c[j - 1], c[j], top[j + 1])
-    steps = (w.steps[-1],) + w.steps[:-1]
-    return HighestWeightWord(w.context, steps, tuple(top))
+    return HighestWeightWord._trusted(w.context, w.steps[-1:] + w.steps[:-1], tuple(top))
 
 
 # -- cylindrical windows -------------------------------------------------------

@@ -11,14 +11,14 @@ Corners are plain int tuples.  A step is valid when dom_W of its difference
 is the factor's fundamental weight, and fill_cell is the one checked cell
 rule: weights.local_rule with both new steps checked.  Weight appears only
 in complete_cell, the wrapper of fill_cell that the benchmark's layer probe
-calls, and in HighestWeightWord.corner.
+calls.
 
 A word is validated once, where it comes in: word_from_corners and
-word_from_json without explicit steps check it in one pass (the lengths,
-each step's inferred kind, which is the step check, the zero start, each
-corner's dominance) and build it with HighestWeightWord._trusted, as does
-enumerate_hw_words.  The public constructor and input with explicit steps
-check in full, and so do the words that growth and tau output.
+word_from_json without explicit steps check it in one loop (_read_corners)
+and build it with HighestWeightWord._trusted.  The words that enumeration,
+tau, evacuation, promotion_inverse and prefix reversal output are valid by
+construction and built the same way.  The outputs of growth.act_gen and
+promotion, the public constructor and explicit steps are checked in full.
 """
 from __future__ import annotations
 
@@ -196,47 +196,62 @@ class HighestWeightWord:
     def r(self) -> int:
         return len(self.steps)
 
-    def corner(self, k: int) -> Weight:
-        return Weight(self.context, self.corners[k])
-
     def __str__(self) -> str:
         return " -> ".join(_fmt(c) for c in self.corners)
 
 
 def word_from_corners(ctx: CartanContext, corners: Sequence[Sequence[int]],
                       steps: Optional[Sequence[StepKind]] = None) -> HighestWeightWord:
-    """Build a word from raw corner vectors, inferring descriptors if absent.
-
-    With explicit steps the public constructor checks the word; without,
-    _word_from_tuples checks it in one pass.
-    """
-    tuples = tuple(tuple(int(x) for x in c) for c in corners)
+    """Build a word from raw corner vectors, checked by the public constructor
+    with explicit steps, else inferred and checked in one pass by _read_corners."""
     if steps is not None:
-        return HighestWeightWord(ctx, tuple(steps), tuples)
-    return _word_from_tuples(ctx, tuples)
+        return HighestWeightWord(ctx, tuple(steps), tuple(tuple(int(x) for x in c) for c in corners))
+    return _read_corners(ctx, [[int(x) for x in c] for c in corners])
 
 
-def _word_from_tuples(ctx: CartanContext, corners: tuple[tuple[int, ...], ...]) -> HighestWeightWord:
-    """The word on int-tuple corners with inferred steps, checked once: every
-    corner's length, then each step (a kind is inferred only for a valid
-    minuscule difference), then the zero start, then each corner's dominance.
-    The errors are those of HighestWeightWord, except that a corner of the
-    wrong length is refused before any step is looked at."""
-    rank = ctx.rank
+_CORNER_TYPES = "the corners must be a list of corners, each a list of ints"
+
+
+def _read_corners(ctx: CartanContext, raw: list) -> HighestWeightWord:
+    """The word on the corner lists `raw`, its steps inferred, checked in one
+    loop that types, sizes and tuples each corner, infers the step into it
+    and tests its dominance.  The error raised is the first of: a corner that
+    is not a list of ints, no corner, a corner of the wrong length (before
+    any step), a step, a nonzero start, a corner that is not dominant."""
+    fam, rank = ctx.family, ctx.rank
+    corners, steps, sized, bad_step, undominated = [], [], True, None, 0
+    for c in raw:  # plain loops: this runs on every word a request reads
+        if not isinstance(c, list):
+            raise ValueError(_CORNER_TYPES)
+        for v in c:
+            if type(v) is not int:
+                raise ValueError(_CORNER_TYPES)
+        c = tuple(c)
+        if len(c) != rank:
+            sized = False
+        elif sized and corners:
+            if bad_step is None:
+                try:
+                    steps.append(infer_step_kind(ctx, corners[-1], c))
+                except InvalidStep as exc:
+                    bad_step = exc
+            if not (undominated or dominant(fam, c)):
+                undominated = len(corners)
+        corners.append(c)
     if not corners:
         raise ValueError("0 steps need 1 corners, got 0")
-    if any(len(c) != rank for c in corners):
+    corners = tuple(corners)
+    if not sized:
         raise ValueError(f"corners {corners} do not match rank {rank}")
-    steps = tuple(infer_step_kind(ctx, a, b) for a, b in zip(corners, corners[1:]))
+    if bad_step is not None:
+        raise bad_step
     if any(corners[0]):
         raise InvalidStep("a highest weight word starts at the zero weight")
-    fam = ctx.family
-    for k in range(1, len(corners)):
-        if not dominant(fam, corners[k]):
-            # step k - 1 is the first whose check fails: its difference is valid
-            raise InvalidStep(f"corner {k - 1}: {_fmt(corners[k - 1])} -> {_fmt(corners[k])} "
-                              f"is not a valid {steps[k - 1]} step")
-    return HighestWeightWord._trusted(ctx, steps, corners)
+    if undominated:  # the step into it is the first that HighestWeightWord refuses
+        k = undominated
+        raise InvalidStep(f"corner {k - 1}: {_fmt(corners[k - 1])} -> {_fmt(corners[k])} "
+                          f"is not a valid {steps[k - 1]} step")
+    return HighestWeightWord._trusted(ctx, tuple(steps), corners)
 
 
 def fill_cell(ctx: CartanContext, kappa: Corner, lam: Corner, nu: Corner) -> Corner:
@@ -281,7 +296,7 @@ def tau(w: HighestWeightWord, i: int) -> HighestWeightWord:
         raise ValueError(f"tau index {i} out of range for r={w.r}")
     c, s = w.corners, w.steps
     mid = local_rule(w.context.family, c[i - 1], c[i], c[i + 1])
-    return HighestWeightWord(w.context, s[:i - 1] + (s[i], s[i - 1]) + s[i + 1:], c[:i] + (mid,) + c[i + 1:])
+    return HighestWeightWord._trusted(w.context, s[:i - 1] + (s[i], s[i - 1]) + s[i + 1:], c[:i] + (mid,) + c[i + 1:])
 
 
 def tau_word(w: HighestWeightWord, indices: Iterable[int]) -> HighestWeightWord:
@@ -302,14 +317,6 @@ def commutor_prefix(w: HighestWeightWord, split: int) -> HighestWeightWord:
     for i in range(split, w.r):
         w = tau(w, i)
     return w
-
-
-def word_to_json(w: HighestWeightWord) -> dict:
-    return {
-        "context": {"family": w.context.family, "rank": w.context.rank},
-        "steps": [str(s) for s in w.steps],
-        "corners": [list(c) for c in w.corners],
-    }
 
 
 def is_corner_list(x) -> bool:
@@ -339,20 +346,42 @@ def check_word_json(obj) -> None:
                 and type(context.get("rank")) is int):
             raise ValueError("the context must be an object with a string family and an int rank")
     if "corners" in obj and not is_corner_list(obj["corners"]):
-        raise ValueError("the corners must be a list of corners, each a list of ints")
+        raise ValueError(_CORNER_TYPES)
     steps = obj.get("steps")
     if steps is not None and not (isinstance(steps, list) and all(isinstance(x, str) for x in steps)):
         raise ValueError("the steps must be a list of strings")
 
 
 def word_from_json(obj: dict) -> HighestWeightWord:
-    check_word_json(obj)
-    ctx = CartanContext(obj["context"]["family"], obj["context"]["rank"])
-    if obj.get("steps") is not None:
-        steps = tuple(parse_step_kind(s) for s in obj["steps"])
-        return word_from_corners(ctx, obj["corners"], steps)
-    # check_word_json has typed every coordinate as an int
-    return _word_from_tuples(ctx, tuple(map(tuple, obj["corners"])))
+    """The word of a word JSON object.  Corner-only JSON with a list of
+    corners and a valid context is read in one pass by _read_corners; any
+    other payload meets check_word_json, the context and, with explicit
+    steps, the checked constructor."""
+    context = obj.get("context") if isinstance(obj, dict) and obj.get("steps") is None else None
+    ctx = None
+    if isinstance(context, dict) and type(context.get("rank")) is int and isinstance(obj.get("corners"), list):
+        try:
+            ctx = CartanContext(context.get("family"), context["rank"])
+        except ValueError:  # raised again below, after check_word_json has typed the corners
+            pass
+    if ctx is None:
+        check_word_json(obj)
+        ctx = CartanContext(obj["context"]["family"], obj["context"]["rank"])
+        if obj.get("steps") is not None:
+            steps = tuple(parse_step_kind(s) for s in obj["steps"])
+            return word_from_corners(ctx, obj["corners"], steps)
+    return _read_corners(ctx, obj["corners"])
+
+
+def json_text(context: CartanContext, steps: Sequence[StepKind], key: str, grid: tuple) -> str:
+    """The text json.dumps writes for {"context", "steps", key: grid}, where
+    grid nests tuples of ints (a word's corners, a window's rows): a tuple's
+    str is its JSON array once a 1-tuple's comma goes and parentheses become
+    brackets."""
+    names = '"' + '", "'.join(map(str, steps)) + '"' if steps else ""
+    cells = str(grid).replace(",)", ")").replace("(", "[").replace(")", "]")
+    return (f'{{"context": {{"family": "{context.family}", "rank": {context.rank}}}, '
+            f'"steps": [{names}], "{key}": {cells}}}')
 
 
 def parse_step_kind(text: str) -> StepKind:

@@ -361,6 +361,100 @@ def test_hecke_matrix_output_is_pinned_byte_for_byte(capsys):
     assert h.hexdigest() == "d4679f16ac3e3edbe8c698716b9f7245e18ad955dc50d8630a284f7a1b2ceb2a"
 
 
+def _pinned_words():
+    """A fixed sample of words with r <= 6: about three of each length in five
+    families, sorted by corners, and one mixed-factor GL(4) word."""
+    from cactusgrowth.weights import CartanContext
+    from cactusgrowth.words import SL2_STEP, VECTOR, enumerate_hw_words, exterior
+
+    families = [("GL", 2, VECTOR), ("GL", 3, VECTOR), ("GL", 4, exterior(2)), ("Sp", 2, VECTOR), ("SL2", 1, SL2_STEP)]
+    sample = []
+    for family, rank, kind in families:
+        for r in range(1, 7):
+            ws = sorted(enumerate_hw_words(CartanContext(family, rank), (kind,) * r), key=lambda w: w.corners)
+            sample += ws[::max(1, len(ws) // 3)]
+    mixed = (VECTOR, exterior(2), exterior(3), VECTOR, exterior(2), VECTOR)
+    ws = sorted(enumerate_hw_words(CartanContext("GL", 4), mixed), key=lambda w: w.corners)
+    return sample + [ws[len(ws) // 2]]
+
+
+def _word_command_corpus():
+    """Every word command on each pinned word in both formats, then the
+    malformed word requests of this file."""
+    corpus = []
+    for w in _pinned_words():
+        context = {"family": w.context.family, "rank": w.context.rank}
+        sources = [json.dumps({"context": context, "corners": [list(c) for c in w.corners]})]
+        if len(set(w.steps)) > 1:  # the mixed word, also with explicit steps
+            sources.append(json.dumps({"context": context, "steps": [str(s) for s in w.steps],
+                                       "corners": [list(c) for c in w.corners]}))
+        r = w.r
+        commands = [["act", "--word", f"s({p},{q})"] for p in range(1, r + 1) for q in range(p + 1, r + 1)]
+        commands += [["act", "--word", f"s(1,{r}) s(2,{r})"]] if r > 1 else []
+        commands += [["evacuate"], ["promote"], *(["tau", "--i", str(i)] for i in range(r + 1)),
+                     *(["cylinder", "--depth", str(d)] for d in range(1, 5))]
+        for text in sources:
+            for fmt in ("json", "ascii"):
+                corpus += [["--format", fmt, *command, "--json", text] for command in commands]
+            corpus.append(["--format", "ascii", "evacuate", "--show-diagram", "--json", text])
+    gl2 = {"family": "GL", "rank": 2}
+    payloads = WRONG_TYPE_WORDS + [{"context": c, "corners": [[0, 0], [1, 0]]} for c in CONTEXTS_MISSING_A_KEY]
+    payloads += [{"context": gl2, "corners": corners} for corners, _ in WRONG_LENGTH_CORNERS]
+    payloads += [
+        {"context": gl2, "steps": None, "corners": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+        {"context": gl2, "steps": None, "corners": [[0, 0], [1, 0], [1, 1]]},
+        {"context": gl2, "steps": [], "corners": [[0, 0], [1, 0], [1, 1]]},
+        {"context": {"family": "Sp", "rank": 2}, "steps": [], "corners": [[0, 0]]},
+        {"context": gl2, "corners": [[0, 0], [0, 1]]},
+    ]
+    for payload in payloads:
+        text = json.dumps(payload)
+        corpus += [["evacuate", "--json", text], ["promote", "--json", text], ["tau", "--i", "1", "--json", text],
+                   ["act", "--word", "s(1,2)", "--json", text], ["act", "--word", "", "--json", text],
+                   ["cylinder", "--depth", "2", "--json", text]]
+    corpus += [["act", "--word", "s(1,", "--demo", "fig-cat-A"], ["act", "--word", "s(1,2)"],
+               ["act", "--word", "s(1,9)", "--json", json.dumps({"context": gl2, "corners": [[0, 0], [1, 0]]})],
+               ["promote", "--json", "not json"], ["evacuate", "--input", "no-such-word.json"]]
+    return corpus
+
+
+def test_word_command_outputs_are_pinned_byte_for_byte(capsys):
+    """act at every s(p,q), evacuate, promote, tau at every index and cylinder
+    at depths 1-4, in both formats, and the malformed word requests: exit
+    code, stdout and stderr hashed in order."""
+    h = hashlib.sha256()
+    corpus = _word_command_corpus()
+    for argv in corpus:
+        code, out, err = run(capsys, *argv)
+        h.update(f"{code}\n{out}\n{err}".encode())
+    assert len(corpus) == 3699
+    assert h.hexdigest() == "92e5ad43ec400d3cdeaaad503a8e613517fa2429bb328f59efdcb314c53a00eb"
+
+
+def test_word_commands_validate_only_their_input(capsys, monkeypatch):
+    """The word a request reads is checked in one pass, and every word
+    evacuate and tau build from it is built unchecked.  promote and cylinder
+    still check what promotion builds (see growth.promotion)."""
+    from cactusgrowth import words
+
+    sources = [{"context": {"family": "GL", "rank": 3}, "corners": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [2, 1, 0],
+                                                                     [2, 1, 1], [3, 1, 1], [3, 2, 1]]},
+               {"context": {"family": "Sp", "rank": 2}, "corners": [[0, 0], [1, 0], [1, 1], [2, 1], [2, 0], [1, 0]]},
+               {"context": {"family": "GL", "rank": 4}, "corners": [[0, 0, 0, 0], [1, 0, 0, 0], [2, 1, 0, 0],
+                                                                     [3, 2, 1, 0], [3, 2, 1, 1], [4, 3, 1, 1]]}]
+    requests = [[*fmt, *command, "--json", json.dumps(source)] for source in sources
+                for fmt in ([], ["--format", "ascii"])
+                for command in (["evacuate"], ["tau", "--i", "2"])]
+    expected = [run(capsys, *argv) for argv in requests]
+    assert all(code == 0 for code, _, _ in expected)
+
+    def second_validation(*args):
+        raise AssertionError("a word was checked twice")
+
+    monkeypatch.setattr(words.HighestWeightWord, "__init__", second_validation)
+    assert [run(capsys, *argv) for argv in requests] == expected
+
+
 def test_cylinder_depth_over_the_size_cap(capsys):
     word = '{"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], [1, 0], [2, 0], [2, 1], [2, 2]]}'
     # depth 2 on r = 4 is 2 rows of 5 corners: 10 cells, at the cap
@@ -526,7 +620,7 @@ REFUSED = [
 def test_parser_table_matches_the_recorded_argparse_results(capsys):
     for argv, expected in PARSED:
         ns = vars(build_parser().parse_args(list(argv)))
-        home = cli if ns["cmd"] in ("act", "evacuate", "promote", "tau") else commands
+        home = cli if ns["cmd"] == "act" else commands
         assert ns.pop("fn") is getattr(home, f"cmd_{ns['cmd']}")
         assert ns == {**GLOBAL_DEFAULTS, **expected}, argv
     for argv, line in REFUSED:
@@ -553,6 +647,15 @@ def test_verify_tiny(capsys):
     assert code == 0
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["suites"] == 1 and summary["failures"] == 0
+
+
+@pytest.mark.parametrize("bounds", [["--r", "2"], ["--maxsize", "4"], ["--r", "3", "--maxsize", "3"]])
+def test_verify_tiny_refuses_r_and_maxsize(capsys, bounds):
+    """--tiny has bounds of its own, so a bound given with it would be dropped."""
+    for suite in ("cactus", "hecke", "all"):
+        code, out, err = run(capsys, "verify", suite, "--tiny", *bounds)
+        assert (code, out) == (2, "")
+        assert err == "usage error: --tiny sets its own bounds: drop --r and --maxsize\n"
 
 
 def test_verify_all_tiny_smoke(capsys):
@@ -648,7 +751,7 @@ def test_verify_choices_are_the_suites():
 # -- word JSON types -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("payload", [
+WRONG_TYPE_WORDS = [
     {"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], [1.9, 0], [1, 1]]},
     {"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], [True, 0], [1, 1]]},
     {"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], "10", [1, 1]]},
@@ -660,7 +763,16 @@ def test_verify_choices_are_the_suites():
     {"context": None, "corners": [[0, 0], [1, 0]]},
     {"context": {"family": "GL", "rank": 2}, "steps": "vector", "corners": [[0, 0], [1, 0], [1, 1]]},
     {"context": {"family": "GL", "rank": 2}, "steps": [1, 2], "corners": [[0, 0], [1, 0], [1, 1]]},
-])
+]
+CONTEXTS_MISSING_A_KEY = [{"family": "GL"}, {"rank": 2}]
+WRONG_LENGTH_CORNERS = [
+    ([[0, 0], [3]], "((0, 0), (3,))"),
+    ([[0, 0], [1]], "((0, 0), (1,))"),
+    ([[0, 0], [3, 0, 0]], "((0, 0), (3, 0, 0))"),
+]
+
+
+@pytest.mark.parametrize("payload", WRONG_TYPE_WORDS)
 def test_word_json_of_the_wrong_type_exit_2(capsys, payload):
     code, out, err = run(capsys, "evacuate", "--json", json.dumps(payload))
     assert_one_line_exit_2(code, out, err)
@@ -668,7 +780,7 @@ def test_word_json_of_the_wrong_type_exit_2(capsys, payload):
 
 
 @pytest.mark.parametrize("command", [["act", "--word", "s(1,2)"], ["evacuate"], ["tau", "--i", "1"]])
-@pytest.mark.parametrize("context", [{"family": "GL"}, {"rank": 2}])
+@pytest.mark.parametrize("context", CONTEXTS_MISSING_A_KEY)
 def test_word_json_context_missing_a_key_exit_2(capsys, command, context):
     payload = {"context": context, "corners": [[0, 0], [1, 0]]}
     code, out, err = run(capsys, *command, "--json", json.dumps(payload))
@@ -676,11 +788,7 @@ def test_word_json_context_missing_a_key_exit_2(capsys, command, context):
     assert err.startswith("parse error: ")
 
 
-@pytest.mark.parametrize("corners, shown", [
-    ([[0, 0], [3]], "((0, 0), (3,))"),
-    ([[0, 0], [1]], "((0, 0), (1,))"),
-    ([[0, 0], [3, 0, 0]], "((0, 0), (3, 0, 0))"),
-])
+@pytest.mark.parametrize("corners, shown", WRONG_LENGTH_CORNERS)
 def test_word_json_corner_of_the_wrong_length_exit_2(capsys, corners, shown):
     """The rank is checked before any step, whatever the corner's values."""
     payload = {"context": {"family": "GL", "rank": 2}, "corners": corners}

@@ -21,10 +21,12 @@ from cactusgrowth.weights import CartanContext, dominant
 from cactusgrowth.words import (
     SL2_STEP,
     VECTOR,
+    HighestWeightWord,
     cell_is_valid,
     enumerate_hw_words,
     exterior,
     syt_to_word,
+    tau,
     word_from_corners,
     word_to_syt,
 )
@@ -410,6 +412,35 @@ def _via_prefix_reversals(g, w):
     for h in reversed(reduce_to_s1q(g, w.r).gens):
         w = prefix_reversal(w, h.q)
     return w
+
+
+def _every_small_word():
+    """Every word with r <= 6 of GL(1..4) vector and exterior powers, Sp(4),
+    Sp(6) and SL2, and the mixed-factor GL(3) and GL(4) families."""
+    for ctx in [CartanContext("GL", n) for n in range(1, 5)] + [SP4, CartanContext("Sp", 3), SL2]:
+        kinds = {"GL": [VECTOR] + [exterior(k) for k in range(2, ctx.rank + 1)], "Sp": [VECTOR], "SL2": [SL2_STEP]}
+        for kind in kinds[ctx.family]:
+            for r in range(7):
+                yield from enumerate_hw_words(ctx, (kind,) * r)
+    yield from enumerate_hw_words(GL3, (VECTOR, exterior(2), VECTOR, exterior(2)))
+    yield from enumerate_hw_words(CartanContext("GL", 4), (VECTOR, exterior(2), exterior(3), VECTOR, exterior(2), VECTOR))
+
+
+def test_trusted_outputs_pass_the_checked_constructor_exhaustive():
+    """evacuation, promotion_inverse, prefix_reversal (and the prefix it
+    evacuates) and tau build their words unchecked, and promotion may too
+    once the benchmark allows it: the checked constructor accepts the steps
+    and corners of each output and rebuilds it."""
+    seen = 0
+    for w in _every_small_word():
+        outputs = [evacuation(w), promotion(w), promotion_inverse(w)]
+        for q in range(2, w.r + 1):
+            outputs += [HighestWeightWord(w.context, w.steps[:q], w.corners[:q + 1]), prefix_reversal(w, q)]
+        outputs += [tau(w, i) for i in range(1, w.r)]
+        for out in outputs:
+            assert HighestWeightWord(out.context, out.steps, out.corners) == out, (w, out)
+        seen += 1
+    assert seen == 1851
 
 
 def test_act_equals_prefix_reversal_fold_exhaustive():

@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import pytest
@@ -19,8 +20,8 @@ from cactusgrowth.words import (
     syt_to_word,
     tau,
     word_from_corners,
+    json_text,
     word_from_json,
-    word_to_json,
     word_to_syt,
 )
 
@@ -159,6 +160,34 @@ def test_one_pass_word_check_matches_the_checked_constructor(ctx):
             assert got == checked_word(ctx, corners), corners
 
 
+TYPES = "the corners must be a list of corners, each a list of ints"
+
+
+@pytest.mark.parametrize("payload, error", [
+    ({"context": {"family": "XX", "rank": 2}, "corners": [[0, 0], [1.5, 0]]}, TYPES),
+    ({"context": {"family": "XX", "rank": 2}, "corners": [[0, 0], [1, 0]]}, "unknown family 'XX'"),
+    ({"context": {"family": "GL", "rank": 0}, "corners": [[0, 0], [1, 0]]}, "rank must be >= 1"),
+    ({"context": {"family": "SL2", "rank": 2}, "corners": [[0, 0], [1, 0]]}, "SL2 has rank 1"),
+    ({"context": {"family": "GL", "rank": 2}, "corners": []}, "0 steps need 1 corners, got 0"),
+    ({"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], [2, 0], [1], [True, 0]]}, TYPES),
+    ({"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], [2, 0], [1]]},
+     "corners ((0, 0), (2, 0), (1,)) do not match rank 2"),
+    ({"context": {"family": "GL", "rank": 2}, "corners": [[1, 0], [3, 0], [2, -1]]},
+     "[1,0] -> [3,0] is not a GL exterior-power step"),
+    ({"context": {"family": "GL", "rank": 2}, "corners": [[1, 0], [1, 1], [1, 2]]},
+     "a highest weight word starts at the zero weight"),
+    ({"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], [0, 1], [1, 1], [1, 2]]},
+     "corner 0: [0,0] -> [0,1] is not a valid vector step"),
+    ({"context": {"family": "Sp", "rank": 2}, "corners": [[0, 0], [1, 0], [1, -1]]},
+     "corner 1: [1,0] -> [1,-1] is not a valid vector step"),
+])
+def test_word_json_reports_the_first_error_in_order(payload, error):
+    """Types, then the context's values, then the corner count, the lengths,
+    the steps, the zero start and dominance: with several faults in one
+    payload, the one-pass reader reports the first of them."""
+    assert outcome(lambda: word_from_json(payload))[1] == error
+
+
 def test_step_kind_text_round_trip():
     for kind in (VECTOR, SL2_STEP) + tuple(exterior(k) for k in range(5)):
         assert parse_step_kind(str(kind)) == kind
@@ -184,7 +213,7 @@ def test_complete_cell_degenerate():
 def test_cell_symmetry_exhaustive():
     # re-completing with the computed corner recovers the original one
     for word in enumerate_hw_words(GL2, (VECTOR,) * 3):
-        kappa, lam, nu = word.corner(0), word.corner(1), word.corner(2)
+        kappa, lam, nu = (Weight(GL2, c) for c in word.corners[:3])
         mu = complete_cell(kappa, lam, nu)
         assert complete_cell(kappa, mu, nu) == lam
         assert cell_is_valid(GL2, kappa.coords, lam.coords, nu.coords, mu.coords)
@@ -323,7 +352,27 @@ def test_word_count_shape_3_3():
 
 def test_json_round_trip():
     word = w(SP4, (0, 0), (1, 0), (1, 1), (1, 0))
-    assert word_from_json(word_to_json(word)) == word
+    assert word_from_json(json.loads(json_text(word.context, word.steps, "corners", word.corners))) == word
+
+
+@pytest.mark.parametrize("word", [
+    w(SP4, (0, 0), (1, 0), (1, 1), (1, 0)),
+    w(SL2, (0,), (1,), (0,), (1,)),
+    w(SL2, (0,)),
+    w(CartanContext("GL", 1), *((k,) for k in range(12))),
+    w(GL4, (0, 0, 0, 0), (1, 1, 0, 0), (2, 1, 1, 0), (2, 1, 1, 0), (3, 2, 1, 0)),
+    w(GL2, (0, 0)),
+], ids=str)
+def test_json_text_is_what_json_dumps_writes(word):
+    """The serializer's text, for a word and for its one-row and deeper
+    windows, byte for byte against json.dumps of the same object."""
+    context = {"family": word.context.family, "rank": word.context.rank}
+    steps = [str(s) for s in word.steps]
+    assert json_text(word.context, word.steps, "corners", word.corners) == json.dumps(
+        {"context": context, "steps": steps, "corners": [list(c) for c in word.corners]})
+    for rows in ((word.corners,), (word.corners, word.corners)):
+        assert json_text(word.context, word.steps, "rows", rows) == json.dumps(
+            {"context": context, "steps": steps, "rows": [[list(c) for c in row] for row in rows]})
 
 
 def test_invalid_tau_raises():
