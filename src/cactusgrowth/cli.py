@@ -86,25 +86,6 @@ def cmd_act(args) -> int:
     return EXIT_OK
 
 
-# suite -> (kwargs under --tiny, kwargs otherwise).  The full bounds are the
-# acceptance bounds; --r and --maxsize replace the r_max and max_boxes they
-# name there (--tiny refuses both), and --seed replaces seed in both.  Its
-# keys, in the order of suites.ALL_SUITES, are also the choices of `verify`,
-# so building the parser does not load the suites.
-_SUITE_BOUNDS: dict[str, tuple[dict, dict]] = {
-    "algebra": ({"seed": 0}, {"seed": 0}),
-    "weights": ({}, {}),
-    "crystal": ({"r_max": 3, "catalan_r": 6}, {"r_max": 5, "catalan_r": 10}),
-    "cactus": ({"r_max": 3}, {"r_max": 6}),
-    "taupresentation": ({"r": 5}, {"r": 5}),
-    "hecke": ({"max_boxes": 4}, {"max_boxes": 6}),
-    "heckecactus": ({"r_max": 3, "max_boxes": 3, "bk_r": 4}, {}),
-    "oracle": ({"max_boxes": 5, "bk_shape": (2, 2, 1), "bk_entries": 4}, {"max_boxes": 8}),
-    "morphism": ({}, {}),
-    "wallcross": ({"r_max": 3}, {"r_max": 5}),
-}
-
-
 # -- argument parsing ---------------------------------------------------------
 # One table drives parsing and help: a command is (handler name, about,
 # positional (dest, choices) or None, options), an option name -> (dest, type,
@@ -140,8 +121,11 @@ _COMMANDS = {
     "hecke": ("cmd_hecke", "seminormal representation tools", ("hecke_cmd", ("check", "matrix")), dict([
         _opt("--shape", required=True, about="comma-separated partition, e.g. 3,2,1"),
         _opt("--op", default="tau", choices=("u", "t", "tau", "jm", "sigma")), _opt("--i", int, 1)])),
-    "verify": ("cmd_verify", "run invariant suites", ("suite", (*_SUITE_BOUNDS, "all")), dict([
-        _opt("--r", int), _opt("--maxsize", int),
+    "verify": ("cmd_verify", "run invariant suites", ("suite", (  # the names of suites.SUITES
+        "algebra", "weights", "crystal", "cactus", "taupresentation", "hecke", "heckecactus", "oracle",
+        "morphism", "wallcross", "all")), dict([
+        _opt("--r", int, about="replaces r_max in the suites that have one"),
+        _opt("--maxsize", int, about="replaces max_boxes in the suites that have one"),
         _opt("--tiny", bool, False, about="small bounds for a quick smoke run")])),
     "demo": ("cmd_demo", "reproduce the built-in worked examples",
              ("name", ("bk", "fig-cat", "gl-window", "ex-sp", "all")), {}),
@@ -240,11 +224,6 @@ def build_parser() -> SimpleNamespace:
     return SimpleNamespace(parse_args=_parse_args)
 
 
-# Built by the first call to main and reused by every later one; parse_args
-# fills a fresh namespace each time, so no value carries over between calls.
-_PARSER: Optional[SimpleNamespace] = None
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     # Imported on every call, like the layers the handlers import, so that
     # errors.DomainError is the base their errors derive from, and
@@ -252,11 +231,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     # has been imported afresh in this process.
     import cactusgrowth.errors as errors
 
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
         return args.fn(args)
     except SystemExit:  # --help; argument errors raise UsageError instead
         return EXIT_OK

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from .cli import _SUITE_BOUNDS, EXIT_OK, EXIT_VERIFY, _emit_word, _read_word, _usage
+from .cli import EXIT_OK, EXIT_VERIFY, _emit_word, _read_word, _usage
 
 if TYPE_CHECKING:
     from .oracles import StandardTableau
@@ -258,15 +258,19 @@ def cmd_verify(args) -> int:
     for flag, bound in (("--r", args.r), ("--maxsize", args.maxsize)):
         if bound is not None and bound < 2:
             raise _usage(f"{flag} must be at least 2, got {bound}")
-    names = list(suites.ALL_SUITES) if args.suite == "all" else [args.suite]
+    names = list(suites.SUITES) if args.suite == "all" else [args.suite]
     overrides = {"seed": args.seed, "r_max": args.r, "max_boxes": args.maxsize}
+    if args.suite != "all":  # a bound the named suite does not have would be dropped
+        for flag, key in (("--r", "r_max"), ("--maxsize", "max_boxes")):
+            if overrides[key] is not None and key not in suites.SUITES[args.suite].full:
+                raise _usage(f"suite {args.suite} has no {key} for {flag} to replace")
     failures = 0
     checks = 0
     for name in names:
-        fn = suites.ALL_SUITES[name]
-        kwargs = dict(_SUITE_BOUNDS[name][0 if args.tiny else 1])
+        suite = suites.SUITES[name]
+        kwargs = dict(suite.tiny if args.tiny else suite.full)
         kwargs.update((k, v) for k, v in overrides.items() if k in kwargs and v is not None)
-        rep = fn(**kwargs)
+        rep = suite.check(**kwargs)
         for line in rep.failures:
             print("FAIL:", line)
         print(rep.summary())

@@ -109,7 +109,9 @@ def count_syt(shape: Sequence[int]) -> int:
     >>> count_syt((3, 2))
     5
     """
-    parts = tuple(s for s in shape if s)
+    parts = tuple(shape)
+    while parts and not parts[-1]:  # trailing zeros only: a zero inside is no partition
+        parts = parts[:-1]
     if parts != tuple(sorted(parts, reverse=True)) or (parts and parts[-1] < 0):
         Partition(parts)  # raises the partition's own error
     cols = [sum(1 for p in parts if p > j) for j in range(max(parts, default=0))]

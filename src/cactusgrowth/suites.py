@@ -6,12 +6,13 @@ there are no tolerances anywhere.  The cactus relations are read from
 relation_words and the tau-presentation relators from tau_relators, both
 for the word action and for seminormal matrices;
 check_hecke_shape is the identity battery of one Hecke shape, run by
-check_hecke on every shape and by `hecke check` on one.
+check_hecke on every shape and by `hecke check` on one.  SUITES, at the
+end, is the one table of suite bounds and acceptance budgets.
 """
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import cactus as cact
 from . import crystal as crys
@@ -137,7 +138,7 @@ def _apply(tables, w: CactusWord, x: int) -> int:
     return x
 
 
-def check_cactus(r_max: int = 6) -> SuiteReport:
+def check_cactus(r_max: int) -> SuiteReport:
     """Defining relations of the cactus group under the word action, the
     permutation image homomorphism, tau involutivity and locality, and the
     s(1,*) reduction, exhaustively."""
@@ -196,7 +197,7 @@ def _perm_on(w: CactusWord, x: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x[img[i] - 1] for i in range(len(x)))
 
 
-def check_tau_presentation(r: int = 5) -> SuiteReport:
+def check_tau_presentation(r: int) -> SuiteReport:
     """The third relation of the tau presentation,
     (tau_i q_{k-1} q_{k-j} q_{k-1})^2 = 1 for i+1 < j < k, on the word
     action for GL(2) and GL(3) families."""
@@ -261,7 +262,7 @@ def check_hecke_shape(shape: Sequence[int], rep: SuiteReport | None = None) -> S
     return rep
 
 
-def check_hecke(max_boxes: int = 6) -> SuiteReport:
+def check_hecke(max_boxes: int) -> SuiteReport:
     """Exact matrix identities in every seminormal representation with at
     most max_boxes boxes."""
     rep = SuiteReport(f"hecke seminormal (shapes <= {max_boxes} boxes)")
@@ -292,7 +293,7 @@ def _formula_block(a: int, tau_diag: bool) -> QMatrix:
     return QMatrix([[d1, coeff], [one, d2]])
 
 
-def check_hecke_cactus(r_max: int = 4, max_boxes: int = 4, bk_r: int = 5) -> SuiteReport:
+def check_hecke_cactus(r_max: int, max_boxes: int, bk_r: int) -> SuiteReport:
     """Cactus relations as exact matrix identities, plus the third relation
     of the tau presentation on seminormal matrices."""
     rep = SuiteReport("cactus relations in seminormal matrices")
@@ -315,7 +316,7 @@ def check_hecke_cactus(r_max: int = 4, max_boxes: int = 4, bk_r: int = 5) -> Sui
     return rep
 
 
-def check_oracles(max_boxes: int = 8, bk_shape: tuple[int, ...] = (4, 3, 2, 1), bk_entries: int = 5) -> SuiteReport:
+def check_oracles(max_boxes: int, bk_shape: tuple[int, ...], bk_entries: int) -> SuiteReport:
     """Growth-diagram operations against the classical tableau algorithms."""
     rep = SuiteReport(f"oracle equivalence (tableaux <= {max_boxes} boxes)")
     for n in range(1, max_boxes + 1):
@@ -382,7 +383,7 @@ def materialized_census(c: crys.Crystal, r: int) -> dict[tuple[int, ...], tuple[
     return out
 
 
-def check_crystal(r_max: int = 5, catalan_r: int = 10) -> SuiteReport:
+def check_crystal(r_max: int, catalan_r: int) -> SuiteReport:
     """Brute-force crystal checks: the census against the materialized power,
     Catalan counts, rectify equivalence, tensor associativity, and the
     word/element dictionary."""
@@ -488,18 +489,13 @@ def _associativity_holds(c: crys.Crystal, max_size: int | None = None) -> bool:
     return left.weights == tuple(right.weights[relabel[k]] for k in range(left.n))
 
 
-def check_morphism(cases: Sequence[tuple[CartanContext, str, int]] = ()) -> SuiteReport:
+def check_morphism() -> SuiteReport:
     """The local move is a crystal morphism: on small materialized tensor
     powers, the permutation of components induced by tau_i commutes with
     every raising operator."""
     rep = SuiteReport("tau is a crystal morphism")
-    if not cases:
-        cases = (
-            (CartanContext(GL, 2), "vector", 3),
-            (CartanContext(GL, 3), "vector", 3),
-            (CartanContext(SL2, 1), "sl2", 4),
-        )
-    for ctx, kind, r in cases:
+    for ctx, kind, r in ((CartanContext(GL, 2), "vector", 3), (CartanContext(GL, 3), "vector", 3),
+                         (CartanContext(SL2, 1), "sl2", 4)):
         base = crys.build_minuscule(ctx, kind)
         power = crys.tensor_power(base, r)
         weight_to_letter = {w: i for i, w in enumerate(base.weights)}
@@ -545,15 +541,15 @@ def _morphism_from_tau(base, power, r, i, word_to_element, weight_to_letter):
     return mapping
 
 
-def check_wall_crossing(r_max: int = 5, depth: int = 4) -> SuiteReport:
+def check_wall_crossing(r_max: int) -> SuiteReport:
     """Cross-implementation equality: the wall-crossing operator on windows
     agrees with the evacuation-based action on the top row, for every
-    generator, on the exhaustive GL(2) family."""
+    generator, on the exhaustive GL(2) family, through windows of depth 4."""
     rep = SuiteReport(f"wall crossing vs action (GL(2), r <= {r_max})")
     ctx = CartanContext(GL, 2)
     for r in range(2, r_max + 1):
         for w in enumerate_hw_words(ctx, (words.VECTOR,) * r):
-            win = growth.build_cylinder(w, depth)
+            win = growth.build_cylinder(w, 4)
             for p in range(1, r + 1):
                 for q in range(p + 1, r + 1):
                     crossed = growth.wall_cross(CactusGen(p, q), win)
@@ -566,8 +562,9 @@ def check_wall_crossing(r_max: int = 5, depth: int = 4) -> SuiteReport:
     return rep
 
 
-def check_algebra(seed: int = 0, samples: int = 40) -> SuiteReport:
-    """Quantum-integer identities and randomized exact field axioms."""
+def check_algebra(seed: int) -> SuiteReport:
+    """Quantum-integer identities, and exact field axioms and the render/parse
+    round trip on 40 random rational functions each."""
     rep = SuiteReport("exact q-arithmetic")
     for m in range(-10, 11):
         for n in range(-10, 11):
@@ -592,7 +589,7 @@ def check_algebra(seed: int = 0, samples: int = 40) -> SuiteReport:
             den = rand_poly()
         return RationalFunction(rand_poly(), den)
 
-    for _ in range(samples):
+    for _ in range(40):
         x, y, z = rand_ratfn(), rand_ratfn(), rand_ratfn()
         rep.ok((x + y) + z == x + (y + z), "associativity of + fails")
         rep.ok((x * y) * z == x * (y * z), "associativity of * fails")
@@ -605,13 +602,13 @@ def check_algebra(seed: int = 0, samples: int = 40) -> SuiteReport:
         rep.ok(rebuilt == x, "canonical form is not idempotent")
     from .qalgebra import parse_rational, render_rational
 
-    for _ in range(samples):
+    for _ in range(40):
         x = rand_ratfn()
         rep.ok(parse_rational(render_rational(x)) == x, f"render/parse round trip fails on {x}")
     return rep
 
 
-def check_weights(seed: int = 0) -> SuiteReport:
+def check_weights() -> SuiteReport:
     """dom orbit constancy (exhaustive small ranks), strip conditions."""
     rep = SuiteReport("weights and dominance")
     from itertools import product as iproduct
@@ -632,15 +629,31 @@ def check_weights(seed: int = 0) -> SuiteReport:
     return rep
 
 
-ALL_SUITES: dict[str, Callable[..., SuiteReport]] = {
-    "algebra": check_algebra,
-    "weights": check_weights,
-    "crystal": check_crystal,
-    "cactus": check_cactus,
-    "taupresentation": check_tau_presentation,
-    "hecke": check_hecke,
-    "heckecactus": check_hecke_cactus,
-    "oracle": check_oracles,
-    "morphism": check_morphism,
-    "wallcross": check_wall_crossing,
+class Suite(NamedTuple):
+    """One row of SUITES: the check, its kwargs under `verify --tiny`, its
+    kwargs at the acceptance bounds (what plain `verify` runs), and the id of
+    the acceptance criterion it belongs to (None for none)."""
+    check: Callable[..., SuiteReport]
+    tiny: dict
+    full: dict
+    acceptance: int | None
+
+
+# The one place for suite bounds and budgets.  `verify` runs the rows in this
+# order (cli._COMMANDS lists the same names), --r and --maxsize replacing
+# r_max and max_boxes; acceptance id k runs its rows within BUDGETS[k] s.
+SUITES: dict[str, Suite] = {
+    "algebra": Suite(check_algebra, {"seed": 0}, {"seed": 0}, None),
+    "weights": Suite(check_weights, {}, {}, None),
+    "crystal": Suite(check_crystal, {"r_max": 3, "catalan_r": 6}, {"r_max": 5, "catalan_r": 10}, 5),
+    "cactus": Suite(check_cactus, {"r_max": 3}, {"r_max": 6}, 3),
+    "taupresentation": Suite(check_tau_presentation, {"r": 5}, {"r": 5}, 3),
+    "hecke": Suite(check_hecke, {"max_boxes": 4}, {"max_boxes": 6}, 4),
+    "heckecactus": Suite(check_hecke_cactus, {"r_max": 3, "max_boxes": 3, "bk_r": 4},
+                         {"r_max": 4, "max_boxes": 4, "bk_r": 5}, 4),
+    "oracle": Suite(check_oracles, {"max_boxes": 5, "bk_shape": (2, 2, 1), "bk_entries": 4},
+                    {"max_boxes": 8, "bk_shape": (4, 3, 2, 1), "bk_entries": 5}, 2),
+    "morphism": Suite(check_morphism, {}, {}, 5),
+    "wallcross": Suite(check_wall_crossing, {"r_max": 3}, {"r_max": 5}, 6),
 }
+BUDGETS: dict[int, float] = {2: 30.0, 3: 60.0, 4: 60.0, 5: 30.0, 6: 30.0}

@@ -1,8 +1,9 @@
 """Acceptance suite.
 
 One test per criterion (defect-documentation subtests split out so every
-check stays visible); each prints a PASS line with its runtime and asserts
-the stated budget.  All comparisons are exact; there are no tolerances.
+check stays visible; criteria 2-6 run the rows of suites.SUITES with that
+acceptance id at their full bounds); each prints a PASS line with its
+runtime and asserts the stated budget.  All comparisons are exact; there are no tolerances.
 
 Three golden values transcribed from the published figures are internally
 inconsistent with the rest of the published data (details in the fixture
@@ -229,57 +230,19 @@ def test_acceptance_1d_gl_window():
     _finish("1d (GL window reproduced from its first row)", t0, 1.0)
 
 
-# -- 2: oracle equivalence ------------------------------------------------------
+# -- 2-6: the suites at their acceptance bounds --------------------------------
+# 2 oracle equivalence, 3 cactus relations, 4 Hecke seminormal identities,
+# 5 crystal brute-force consistency, 6 wall crossing = action.
 
 
-def test_acceptance_2_oracle_equivalence():
+@pytest.mark.parametrize("cid", sorted(suites.BUDGETS))
+def test_acceptance_suites(cid):
     t0 = time.time()
-    report = suites.check_oracles(max_boxes=8, bk_shape=(4, 3, 2, 1), bk_entries=5)
-    assert report.passed, report.failures[:5]
-    _finish(f"2 (oracle equivalence, {report.checks} checks)", t0, 30.0)
-
-
-# -- 3: cactus relation suite ---------------------------------------------------
-
-
-def test_acceptance_3_cactus_relations():
-    t0 = time.time()
-    report = suites.check_cactus(r_max=6)
-    assert report.passed, report.failures[:5]
-    report2 = suites.check_tau_presentation(r=5)
-    assert report2.passed, report2.failures[:5]
-    _finish(f"3 (cactus relations, {report.checks + report2.checks} checks)", t0, 60.0)
-
-
-# -- 4: Hecke suite ---------------------------------------------------------------
-
-
-def test_acceptance_4_hecke_suite():
-    t0 = time.time()
-    report = suites.check_hecke(max_boxes=6)
-    assert report.passed, report.failures[:5]
-    report2 = suites.check_hecke_cactus(r_max=4, max_boxes=4, bk_r=5)
-    assert report2.passed, report2.failures[:5]
-    _finish(f"4 (Hecke seminormal identities, {report.checks + report2.checks} checks)", t0, 60.0)
-
-
-# -- 5: crystal brute force --------------------------------------------------------
-
-
-def test_acceptance_5_crystal_brute_force():
-    t0 = time.time()
-    report = suites.check_crystal(r_max=5, catalan_r=10)
-    assert report.passed, report.failures[:5]
-    report2 = suites.check_morphism()
-    assert report2.passed, report2.failures[:5]
-    _finish(f"5 (crystal brute-force consistency, {report.checks + report2.checks} checks)", t0, 30.0)
-
-
-# -- 6: wall crossing vs action ------------------------------------------------------
-
-
-def test_acceptance_6_wall_crossing():
-    t0 = time.time()
-    report = suites.check_wall_crossing(r_max=5)
-    assert report.passed, report.failures[:5]
-    _finish(f"6 (wall crossing = action, {report.checks} checks)", t0, 30.0)
+    names = [name for name, suite in suites.SUITES.items() if suite.acceptance == cid]
+    checks = 0
+    for name in names:
+        suite = suites.SUITES[name]
+        report = suite.check(**suite.full)
+        assert report.passed, report.failures[:5]
+        checks += report.checks
+    _finish(f"{cid} ({', '.join(names)}, {checks} checks)", t0, suites.BUDGETS[cid])

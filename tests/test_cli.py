@@ -263,9 +263,37 @@ def test_validate_payload_without_a_context_or_corners_exit_2(capsys, tmp_path, 
     ["verify", "cactus", "--r", "1"],
     ["verify", "hecke", "--maxsize", "-1"],
     ["verify", "oracle", "--maxsize", "0"],
+    # a bound the named suite does not have would be dropped
+    ["verify", "taupresentation", "--r", "3"],
+    ["verify", "hecke", "--r", "2"],
+    ["verify", "oracle", "--r", "3"],
+    ["verify", "morphism", "--r", "9"],
+    ["verify", "cactus", "--maxsize", "4"],
 ])
 def test_verify_refuses_bounds_that_check_nothing(capsys, argv):
     assert_one_line_exit_2(*run(capsys, *argv))
+
+
+def test_verify_applies_r_and_maxsize_to_the_row(capsys):
+    code, out, _ = run(capsys, "verify", "heckecactus", "--r", "3", "--maxsize", "3")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["checks"] < 125
+
+
+def test_verify_all_applies_a_bound_only_where_a_suite_has_it(capsys, monkeypatch):
+    seen = {}
+
+    def row(name, **full):
+        def check(**kwargs):
+            seen[name] = kwargs
+            return suites.SuiteReport(name, 1)
+        return suites.Suite(check, full, full, None)
+
+    monkeypatch.setattr(suites, "SUITES", {
+        "a": row("a", r_max=6, seed=0), "b": row("b", r=5), "c": row("c", max_boxes=8), "d": row("d")})
+    code, out, _ = run(capsys, "--seed", "4", "verify", "all", "--r", "3", "--maxsize", "4")
+    assert code == 0 and json.loads(out.splitlines()[-1]) == {"suites": 4, "checks": 4, "failures": 0}
+    assert seen == {"a": {"r_max": 3, "seed": 4}, "b": {"r": 5}, "c": {"max_boxes": 4}, "d": {}}
 
 
 def test_hecke_check_and_matrix(capsys):
@@ -334,6 +362,16 @@ def test_hecke_shape_that_is_not_a_partition(capsys):
     for shape in ("1,2", "-1"):
         code, out, err = run(capsys, "hecke", "matrix", "--shape", shape)
         assert code == 2 and out == "" and len(err.splitlines()) == 1
+    # a zero before a positive part is no partition; trailing zeros are dropped
+    for shape in ("2,0,1", "0,2,1"):
+        for sub in ("check", "matrix"):
+            code, out, err = run(capsys, "hecke", sub, "--shape", shape, "--op", "tau", "--i", "1")
+            assert code == 2 and out == ""
+            assert err == f"parse error: ({shape.replace(',', ', ')}) is not weakly decreasing\n"
+    code, out, _ = run(capsys, "hecke", "check", "--shape", "2,1,0")
+    assert code == 0 and out.endswith(": 27 checks, ok\n")
+    code, out, _ = run(capsys, "hecke", "matrix", "--shape", "2,1,0")
+    assert code == 0 and out.startswith("basis: 12/3 13/2\n")
     # a shape with no positive part has nothing to check: refused, not a pass
     for shape in ("", "0", ",", "0,0"):
         for sub in ("check", "matrix"):
@@ -483,10 +521,7 @@ ALTERNATING_ARGV = [
 
 
 def test_reused_parser_parses_like_a_fresh_one(capsys, monkeypatch):
-    main(["act"])  # builds main's parser
-    capsys.readouterr()
-    parser = cli._PARSER
-    real = parser.parse_args
+    real = cli._parse_args
     seen = []
 
     def recording(*a, **kw):
@@ -494,27 +529,11 @@ def test_reused_parser_parses_like_a_fresh_one(capsys, monkeypatch):
         seen.append(dict(vars(ns)))
         return ns
 
-    monkeypatch.setattr(parser, "parse_args", recording)
+    monkeypatch.setattr(cli, "_parse_args", recording)
     for argv in ALTERNATING_ARGV:
         main(list(argv))
     capsys.readouterr()
-    assert seen == [vars(build_parser().parse_args(argv)) for argv in ALTERNATING_ARGV]
-
-
-def test_main_builds_its_parser_once(capsys, monkeypatch):
-    builds = []
-    real = cli.build_parser
-
-    def counting():
-        builds.append(1)
-        return real()
-
-    monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "build_parser", counting)
-    for argv in ALTERNATING_ARGV[:4] + [["act"], ["--help"]]:
-        main(list(argv))
-    capsys.readouterr()
-    assert len(builds) == 1
+    assert seen == [vars(real(argv)) for argv in ALTERNATING_ARGV]
 
 
 # Recorded from the argparse parser that the table replaced: each argv's
@@ -745,7 +764,7 @@ def test_reachable_domain_errors_exit_3_with_one_line(capsys, argv):
 
 
 def test_verify_choices_are_the_suites():
-    assert tuple(cli._SUITE_BOUNDS) == tuple(suites.ALL_SUITES)
+    assert cli._COMMANDS["verify"][2] == ("suite", (*suites.SUITES, "all"))
 
 
 # -- word JSON types -------------------------------------------------------------

@@ -44,6 +44,8 @@ def test_enumerate_syt_counts():
         for shape in partitions_of(n):
             assert count_syt(shape) == len(enumerate_syt(shape))
     assert count_syt((3, 0)) == 1
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        count_syt((2, 0, 1))
     assert count_syt((10, 10, 10)) == 7_646_001_090
 
 
