@@ -17,10 +17,11 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "weights": ("CartanContext", "Weight", "Partition", "dom_w", "is_dominant", "conjugate", "strip_check"),
+    "weights": ("CartanContext", "Weight", "Partition", "dom_w", "is_dominant"),
     "words": ("HighestWeightWord", "StepKind", "complete_cell", "tau", "commutor_prefix",
               "word_from_corners", "syt_to_word", "word_to_syt"),
     "cactus": ("CactusGen", "CactusWord", "TauGen", "perm_image", "reduce_to_s1q", "parse_cactus_word"),
+    "oracles": ("conjugate", "strip_check"),
     "growth": ("evacuation", "promotion", "act", "build_cylinder", "wall_cross"),
     "windows": ("cylinder_from_path", "complete_rectangle"),
     "crystal": ("Crystal", "build_minuscule", "tensor", "tensor_power", "decompose"),

@@ -32,6 +32,7 @@ from .cactus import CactusWord, s_to_tau
 from .errors import DomainError
 from .oracles import StandardTableau, enumerate_syt
 from .qalgebra import LaurentPoly, QMatrix, RationalFunction, q_int
+from .weights import Partition
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -45,7 +46,7 @@ class SeminormalRep:
     """Basis bookkeeping for one irreducible seminormal representation."""
 
     def __init__(self, shape: Sequence[int]):
-        self.shape = tuple(s for s in shape if s)
+        self.shape = Partition(shape).parts  # trailing zeros only: a zero inside is no partition
         self.r = sum(self.shape)
         self.basis: tuple[StandardTableau, ...] = tuple(
             sorted(enumerate_syt(self.shape), key=lambda t: t.rows)

@@ -4,8 +4,16 @@ Everything here is implemented directly on tableau fillings: Schützenberger
 evacuation and jeu-de-taquin promotion on standard tableaux, Bender-Knuth
 toggles on semistandard tableaux, dual Knuth moves, Gelfand-Tsetlin pattern
 conversions, and the prefix-reversal action on noncrossing perfect
-matchings.  None of it touches the local-rule machinery; the only imported
-neighbour is the partition type.
+matchings.  None of it touches the local-rule machinery or the growth path;
+the only imported neighbour is the partition type.
+
+The algorithms run on plain int tuples: tableau rows are tuples of ints,
+and partitions, like the corners of a word, are weakly decreasing int
+tuples, zero-padded where they share one width (`conjugate` and
+`strip_check` take them so).  StandardTableau, SemistandardTableau and
+Partition are the checked constructors at the public edges; what the
+algorithms build is a tableau by construction and is built unchecked,
+through `_trusted`.
 
 Conventions: tableau rows increase weakly (semistandard) or strictly
 (standard) left to right and columns increase strictly top to bottom;
@@ -13,72 +21,120 @@ dual semistandard means strict rows and weak columns.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .weights import Partition, conjugate, strip_check
+from .weights import Corner, Partition
+
+Rows = tuple[tuple[int, ...], ...]
 
 
 class StripViolation(ValueError, DomainError):
     """A partition sequence fails its horizontal/vertical strip condition."""
 
 
+def conjugate(p: Corner) -> Corner:
+    """Transpose of the Young diagram of a partition (trailing zeros allowed).
+
+    >>> conjugate((4, 2, 1, 0))
+    (3, 2, 1, 1)
+    """
+    out = []
+    i = len(p)
+    for j in range(p[0] if p else 0):
+        while p[i - 1] <= j:  # row i - 1 does not reach column j
+            i -= 1
+        out.append(i)
+    return tuple(out)
+
+
+def strip_check(inner: Corner, outer: Corner, kind: str) -> bool:
+    """True when outer/inner is a horizontal or vertical strip of partitions
+    (trailing zeros allowed).
+
+    Horizontal: at most one added box per column, i.e. the parts interlace,
+    outer[0] >= inner[0] >= outer[1] >= inner[1] >= ...
+    Vertical: at most one added box per row.
+    """
+    if kind not in ("horizontal", "vertical"):
+        raise ValueError(f"kind must be horizontal or vertical, got {kind!r}")
+    n = max(len(inner), len(outer))
+    inner, outer = inner + (0,) * (n - len(inner)), outer + (0,) * (n - len(outer))
+    if kind == "horizontal":
+        return all(a <= b for a, b in zip(inner, outer)) and all(b <= a for a, b in zip(inner, outer[1:]))
+    return all(0 <= b - a <= 1 for a, b in zip(inner, outer))
+
+
 # -- standard tableaux -------------------------------------------------------
 
 
-class StandardTableau:
-    __slots__ = ("rows",)
+class _Tableau:
+    """Nonempty rows of entries >= 1 in a partition shape, with strictly
+    increasing columns and rows that increase by at least _row_step;
+    compared and hashed by rows within one class."""
+
+    __slots__ = ()
+    _row_step = 0
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         self.rows = rows = tuple(tuple(r) for r in rows)
-        n = sum(len(r) for r in rows)
-        seen = sorted(v for r in rows for v in r)
-        if seen != list(range(1, n + 1)):
-            raise ValueError(f"entries must be 1..{n} exactly once")
+        if not all(r and r[0] >= 1 for r in rows):
+            raise ValueError("rows must be nonempty, with entries >= 1")
+        step = self._row_step
         for r in rows:
-            if any(r[i] >= r[i + 1] for i in range(len(r) - 1)):
-                raise ValueError("rows must increase")
-        for i in range(len(rows) - 1):
-            if len(rows[i + 1]) > len(rows[i]):
+            if any(r[i] + step > r[i + 1] for i in range(len(r) - 1)):
+                raise ValueError("rows must increase" if step else "rows must weakly increase")
+        for above, row in zip(rows, rows[1:]):
+            if len(row) > len(above):
                 raise ValueError("shape must be a partition")
-            if any(rows[i][j] >= rows[i + 1][j] for j in range(len(rows[i + 1]))):
-                raise ValueError("columns must increase")
+            if any(a >= b for a, b in zip(above, row)):
+                raise ValueError("columns must strictly increase")
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> StandardTableau:
-        """A tableau whose rows are known to be standard, built without the checks."""
+    def _trusted(cls, rows: Rows):
+        """A tableau whose rows are known to be valid, built without the checks."""
         t = object.__new__(cls)
         t.rows = rows
         return t
 
     def __eq__(self, other):
-        return self.rows == other.rows if other.__class__ is StandardTableau else NotImplemented
+        return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
         return hash(self.rows)
+
+    def shape(self) -> Partition:
+        return Partition(len(r) for r in self.rows)
+
+    def __str__(self) -> str:
+        return "/".join("".join(map(str, row)) for row in self.rows)
+
+
+class StandardTableau(_Tableau):
+    """Strict rows and columns, entries 1..n each once."""
+
+    __slots__ = ("rows",)
+    _row_step = 1
+
+    def __init__(self, rows: Iterable[Iterable[int]]):
+        super().__init__(rows)
+        n = self.n
+        if sorted(v for r in self.rows for v in r) != list(range(1, n + 1)):
+            raise ValueError(f"entries must be 1..{n} exactly once")
 
     @property
     def n(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def shape(self) -> Partition:
-        return Partition(len(r) for r in self.rows)
-
-    def position(self, value: int) -> tuple[int, int]:
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if v == value:
-                    return i, j
-        raise ValueError(f"{value} not in tableau")
-
     def content(self, value: int) -> int:
-        i, j = self.position(value)
-        return j - i
-
-    def __str__(self) -> str:
-        return "/".join("".join(map(str, row)) for row in self.rows)
+        """Column minus row of value."""
+        for i, row in enumerate(self.rows):
+            if value in row:
+                return row.index(value) - i
+        raise ValueError(f"{value} not in tableau")
 
 
 def syt_from_string(text: str) -> StandardTableau:
@@ -104,17 +160,14 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
 
 def count_syt(shape: Sequence[int]) -> int:
     """Number of standard tableaux of a partition shape, by the hook-length
-    formula; nothing is enumerated.
+    formula; nothing is enumerated.  Trailing zeros are allowed; a zero inside
+    the shape is no partition.
 
     >>> count_syt((3, 2))
     5
     """
-    parts = tuple(shape)
-    while parts and not parts[-1]:  # trailing zeros only: a zero inside is no partition
-        parts = parts[:-1]
-    if parts != tuple(sorted(parts, reverse=True)) or (parts and parts[-1] < 0):
-        Partition(parts)  # raises the partition's own error
-    cols = [sum(1 for p in parts if p > j) for j in range(max(parts, default=0))]
+    parts = Partition(shape).parts
+    cols = conjugate(parts)
     hooks = 1
     for i, row in enumerate(parts):
         for j in range(row):
@@ -124,13 +177,13 @@ def count_syt(shape: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def enumerate_syt(shape: tuple[int, ...]) -> tuple[StandardTableau, ...]:
-    """All standard tableaux of the given shape, grown box by box: the
+    """All standard tableaux of a partition shape, grown box by box: the
     tableaux of each shape inside it with k boxes are those with k - 1 boxes
     with k added at a corner.  They come in the order of recursive corner
     removal: by the row of the largest entry, top row first, then likewise
     for the rest."""
-    shape = tuple(s for s in shape if s)
-    level: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {(): [()]}
+    shape = Partition(shape).parts
+    level: dict[tuple[int, ...], list[Rows]] = {(): [()]}
     for k in range(1, sum(shape) + 1):
         grown = {}
         for mu in level:
@@ -148,38 +201,22 @@ def enumerate_syt(shape: tuple[int, ...]) -> tuple[StandardTableau, ...]:
     return tuple(map(StandardTableau._trusted, level[shape]))
 
 
-def _slide_hole(grid: dict[tuple[int, int], int], hole: tuple[int, int]) -> tuple[int, int]:
+def _slide_hole(rows: list[list[int]], i: int, j: int) -> tuple[int, int]:
     """Jeu de taquin: repeatedly move the smaller of the right/below
-    neighbours into the hole; returns the final hole position."""
+    neighbours into the hole at (i, j); returns the final hole, a corner,
+    whose cell keeps a stale entry."""
     while True:
-        i, j = hole
-        right = grid.get((i, j + 1))
-        below = grid.get((i + 1, j))
+        row = rows[i]
+        right = row[j + 1] if j + 1 < len(row) else None
+        below = rows[i + 1][j] if i + 1 < len(rows) and j < len(rows[i + 1]) else None
         if right is None and below is None:
-            return hole
+            return i, j
         if below is None or (right is not None and right < below):
-            grid[(i, j)] = right
-            del grid[(i, j + 1)]
-            hole = (i, j + 1)
+            row[j] = right
+            j += 1
         else:
-            grid[(i, j)] = below
-            del grid[(i + 1, j)]
-            hole = (i + 1, j)
-
-
-def _grid_of(t: StandardTableau) -> dict[tuple[int, int], int]:
-    return {(i, j): v for i, row in enumerate(t.rows) for j, v in enumerate(row)}
-
-
-def _tableau_of(grid: dict[tuple[int, int], int]) -> StandardTableau:
-    if not grid:
-        return StandardTableau(())
-    nrows = max(i for i, _ in grid) + 1
-    rows = []
-    for i in range(nrows):
-        cols = sorted(j for (a, j) in grid if a == i)
-        rows.append(tuple(grid[(i, j)] for j in cols))
-    return StandardTableau(tuple(rows))
+            row[j] = below
+            i += 1
 
 
 def promotion_oracle(t: StandardTableau) -> StandardTableau:
@@ -189,15 +226,12 @@ def promotion_oracle(t: StandardTableau) -> StandardTableau:
     >>> str(promotion_oracle(syt_from_string('12/34')))
     '13/24'
     """
-    n = t.n
-    if n == 0:
+    if not t.rows:
         return t
-    grid = _grid_of(t)
-    del grid[(0, 0)]
-    hole = _slide_hole(grid, (0, 0))
-    grid = {pos: v - 1 for pos, v in grid.items()}
-    grid[hole] = n
-    return _tableau_of(grid)
+    rows = [list(r) for r in t.rows]
+    i, j = _slide_hole(rows, 0, 0)
+    rows[i][j] = t.n + 1
+    return StandardTableau._trusted(tuple(tuple(v - 1 for v in row) for row in rows))
 
 
 def evacuation_oracle(t: StandardTableau) -> StandardTableau:
@@ -207,159 +241,162 @@ def evacuation_oracle(t: StandardTableau) -> StandardTableau:
     >>> str(evacuation_oracle(syt_from_string('134/256')))
     '125/346'
     """
-    n = t.n
-    grid = _grid_of(t)
-    out: dict[tuple[int, int], int] = {}
-    for k in range(n):
-        pos_one = min(grid, key=grid.get)
-        del grid[pos_one]
-        hole = _slide_hole(grid, pos_one)
-        out[hole] = n - k
-    return _tableau_of(out)
+    rows = [list(r) for r in t.rows]
+    out = [list(r) for r in t.rows]
+    for k in range(t.n, 0, -1):
+        i, j = _slide_hole(rows, 0, 0)  # the smallest entry left sits at (0, 0)
+        del rows[i][j]
+        out[i][j] = k
+    return StandardTableau._trusted(tuple(map(tuple, out)))
 
 
 def dual_knuth(t: StandardTableau, i: int) -> StandardTableau:
     """The dual Knuth move on entries i, i+1, i+2: whichever of the three
     has the middle content stays put; if that is i+1 nothing moves, if it
     is i the entries i+1 and i+2 swap, and if it is i+2 then i and i+1 swap.
+    The swapped pair differs in content by at least 2, so it shares no row
+    or column and the result is standard.
     """
     if not 1 <= i <= t.n - 2:
         raise ValueError(f"dual Knuth index {i} out of range")
-    cs = {k: t.content(k) for k in (i, i + 1, i + 2)}
+    cs = {v: j - r for r, row in enumerate(t.rows) for j, v in enumerate(row) if i <= v <= i + 2}
     middle = sorted(cs, key=cs.get)[1]
     if middle == i + 1:
         return t
     a, b = (i + 1, i + 2) if middle == i else (i, i + 1)
-    rows = [[{a: b, b: a}.get(v, v) for v in row] for row in t.rows]
-    return StandardTableau(tuple(tuple(r) for r in rows))
+    swap = {a: b, b: a}
+    return StandardTableau._trusted(tuple(tuple(swap.get(v, v) for v in row) for row in t.rows))
 
 
 # -- semistandard tableaux and Gelfand-Tsetlin patterns ----------------------
 
 
-class SemistandardTableau:
-    """Weak rows, strict columns."""
+class SemistandardTableau(_Tableau):
+    """Weak rows, strict columns, entries >= 1."""
 
     __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        self.rows = rows = tuple(tuple(r) for r in rows)
-        for r in rows:
-            if any(r[i] > r[i + 1] for i in range(len(r) - 1)):
-                raise ValueError("rows must weakly increase")
-        for i in range(len(rows) - 1):
-            if len(rows[i + 1]) > len(rows[i]):
-                raise ValueError("shape must be a partition")
-            if any(rows[i][j] >= rows[i + 1][j] for j in range(len(rows[i + 1]))):
-                raise ValueError("columns must strictly increase")
-
-    def __eq__(self, other):
-        return self.rows == other.rows if other.__class__ is SemistandardTableau else NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def shape(self) -> Partition:
-        return Partition(len(r) for r in self.rows)
 
     def weight_vector(self, bound: int) -> tuple[int, ...]:
         return tuple(sum(1 for row in self.rows for v in row if v == k) for k in range(1, bound + 1))
 
-    def __str__(self) -> str:
-        return "/".join("".join(str(v) for v in row) for row in self.rows)
+
+def gt_levels(rows: Rows, length: int) -> list[Corner]:
+    """The Gelfand-Tsetlin pattern of tableau rows: the shapes of the entries
+    <= k, k = 0..length, as wide as the tableau is deep."""
+    return [tuple(bisect_right(row, k) for row in rows) for k in range(length + 1)]
+
+
+def conjugates(levels: Iterable[Corner], width: int) -> list[Corner]:
+    """The conjugate of each partition, zero-padded up to the given width.
+    Those of gt_levels are the dual sequence, the vertical strips of the
+    conjugate (dual semistandard) tableau: the corners of a GL(width) word."""
+    out = []
+    for level in levels:
+        c = conjugate(level)
+        out.append(c + (0,) * (width - len(c)))
+    return out
+
+
+def rows_from_dual_corners(corners: Sequence[Corner]) -> Rows:
+    """Inverse of the dual sequence, for corners of one width from the zero
+    corner: entry j of corners[k] counts the entries <= k in column j, so a
+    column that grows at step k gets k in the row it grew from, and each row
+    fills left to right.  Each step is checked here to be a vertical strip."""
+    rows: list[list[int]] = [[] for _ in corners]
+    for k in range(1, len(corners)):
+        for a, b in zip(corners[k - 1], corners[k]):
+            if a != b:
+                if b != a + 1:
+                    raise StripViolation(f"step {k - 1} is not a vertical strip")
+                rows[a].append(k)
+    return tuple(tuple(r) for r in rows if r)
+
+
+def _corners_of(seq: Sequence[Partition]) -> list[Corner]:
+    """The parts of a partition sequence from the empty partition, zero-padded
+    to one width."""
+    if not seq or seq[0].parts:
+        raise ValueError("a strip sequence starts at the empty partition")
+    width = max(len(p.parts) for p in seq)
+    return [p.padded(width) for p in seq]
 
 
 def gt_pattern(t: SemistandardTableau, length: int) -> list[Partition]:
-    """The Gelfand-Tsetlin pattern: shapes of the entries <= k, k = 0..length.
-    Successive shapes differ by horizontal strips, because the constructor
-    of t makes each value set one."""
-    return [Partition(tuple(sum(1 for v in row if v <= k) for row in t.rows)) for k in range(length + 1)]
+    """The Gelfand-Tsetlin pattern: shapes of the entries <= k, k = 0..length."""
+    return [Partition(level) for level in gt_levels(t.rows, length)]
 
 
 def tableau_from_gt(seq: Sequence[Partition]) -> SemistandardTableau:
-    """Inverse of gt_pattern (entries k fill the k-th strip)."""
-    for k in range(len(seq) - 1):
-        if not strip_check(seq[k], seq[k + 1], "horizontal"):
+    """Inverse of gt_pattern: entries k fill the k-th horizontal strip, the
+    k-th vertical strip of the conjugates."""
+    levels = _corners_of(seq)
+    for k in range(len(levels) - 1):
+        if not strip_check(levels[k], levels[k + 1], "horizontal"):
             raise StripViolation(f"step {k} is not a horizontal strip")
-    return _fill_strips(seq)
-
-
-def _fill_strips(seq: Sequence[Partition]) -> SemistandardTableau:
-    """The tableau whose entries k fill seq[k] / seq[k-1]; the caller has
-    checked that each step is a horizontal strip."""
-    final = seq[-1]
-    rows = [[0] * final.part(i) for i in range(final.length())]
-    for k in range(1, len(seq)):
-        inner, outer = seq[k - 1], seq[k]
-        for i in range(outer.length()):
-            for j in range(inner.part(i), outer.part(i)):
-                rows[i][j] = k
-    return SemistandardTableau(tuple(tuple(r) for r in rows))
+    return SemistandardTableau._trusted(rows_from_dual_corners(conjugates(levels, max(levels[-1], default=0))))
 
 
 def dual_sequence(t: SemistandardTableau, length: int) -> list[Partition]:
     """Conjugates of the Gelfand-Tsetlin pattern: the vertical-strip sequence
     of the conjugate (dual semistandard) tableau."""
-    return [conjugate(p) for p in gt_pattern(t, length)]
+    return [Partition(conjugate(level)) for level in gt_levels(t.rows, length)]
 
 
 def tableau_from_dual_sequence(seq: Sequence[Partition]) -> SemistandardTableau:
-    """Inverse of dual_sequence; the vertical strips of seq are the
-    horizontal strips of its conjugates, so they are checked once, here."""
-    for k in range(len(seq) - 1):
-        if not strip_check(seq[k], seq[k + 1], "vertical"):
-            raise StripViolation(f"step {k} is not a vertical strip")
-    return _fill_strips([conjugate(p) for p in seq])
+    """Inverse of dual_sequence."""
+    return SemistandardTableau._trusted(rows_from_dual_corners(_corners_of(seq)))
 
 
 def bender_knuth(t: SemistandardTableau, i: int) -> SemistandardTableau:
-    """The classical toggle exchanging the multiplicities of i and i+1.
-
-    An i with an i+1 directly below it (or vice versa) is locked; in each
-    row the free i's and free i+1's form a block i^a (i+1)^b which is
-    replaced by i^b (i+1)^a.
-    """
+    """The classical toggle exchanging the multiplicities of i and i+1."""
     if i < 1:
         raise ValueError("toggle index must be >= 1")
-    rows = [list(r) for r in t.rows]
+    return SemistandardTableau._trusted(bender_knuth_rows(t.rows, i))
 
-    def entry(r: int, c: int) -> Optional[int]:
-        if 0 <= r < len(rows) and 0 <= c < len(rows[r]):
-            return rows[r][c]
-        return None
 
-    out = [list(r) for r in rows]
+def bender_knuth_rows(rows: Rows, i: int) -> Rows:
+    """The Bender-Knuth toggle at i >= 1 on semistandard rows.
+
+    An i with an i+1 directly below it (or vice versa) is locked.  In a row
+    the i's and i+1's form one block; its locked i's lead it and its locked
+    i+1's end it, so the free ones between form a block i^a (i+1)^b, which
+    is replaced by i^b (i+1)^a.
+    """
+    j = i + 1
+    out = []
+    above: tuple[int, ...] = ()
     for r, row in enumerate(rows):
-        free = [c for c, v in enumerate(row)
-                if (v == i and entry(r + 1, c) != i + 1) or (v == i + 1 and entry(r - 1, c) != i)]
-        a = sum(1 for c in free if row[c] == i)
-        for idx, c in enumerate(free):
-            out[r][c] = i if idx < len(free) - a else i + 1
-    return SemistandardTableau(tuple(tuple(r) for r in out))
+        below = rows[r + 1] if r + 1 < len(rows) else ()
+        s = bisect_left(row, i)
+        m = bisect_left(row, j, s)
+        e = bisect_left(row, j + 1, m)
+        lo = s + below[s:m].count(j)
+        hi = e - above[m:e].count(i)
+        out.append(row[:lo] + (i,) * (hi - m) + (j,) * (m - lo) + row[hi:])
+        above = row
+    return tuple(out)
 
 
-def enumerate_ssyt(shape: tuple[int, ...], max_entry: int) -> Iterator[SemistandardTableau]:
-    """All semistandard tableaux of the given shape with entries <= max_entry."""
-    shape = tuple(s for s in shape if s)
-    rows: list[list[int]] = [[0] * s for s in shape]
-    cells = [(i, j) for i, s in enumerate(shape) for j in range(s)]
-
-    def rec(k: int) -> Iterator[SemistandardTableau]:
-        if k == len(cells):
-            yield SemistandardTableau(tuple(tuple(r) for r in rows))
-            return
-        i, j = cells[k]
-        lo = 1
-        if j > 0:
-            lo = max(lo, rows[i][j - 1])
-        if i > 0:
-            lo = max(lo, rows[i - 1][j] + 1)
-        for v in range(lo, max_entry + 1):
-            rows[i][j] = v
-            yield from rec(k + 1)
-        rows[i][j] = 0
-
-    yield from rec(0)
+def enumerate_ssyt(shape: Sequence[int], max_entry: int) -> tuple[SemistandardTableau, ...]:
+    """All semistandard tableaux of a partition shape with entries <= max_entry,
+    grown cell by cell in row-major order: each filling of the first k cells
+    is extended by every value its left and upper neighbours allow.  They
+    come in the lexicographic order of their row-major readings."""
+    shape = Partition(shape).parts
+    level: list[tuple[int, ...]] = [()]  # row-major readings of the fillings so far
+    start = 0
+    for i, part in enumerate(shape):
+        for k in range(start, start + part):
+            grown = []
+            for f in level:
+                lo = f[k - 1] if k > start else 1
+                if i and f[k - shape[i - 1]] >= lo:  # the cell above
+                    lo = f[k - shape[i - 1]] + 1
+                grown += [f + (v,) for v in range(lo, max_entry + 1)]
+            level = grown
+        start += part
+    spans = [(sum(shape[:i]), sum(shape[:i + 1])) for i in range(len(shape))]
+    return tuple(SemistandardTableau._trusted(tuple(f[a:b] for a, b in spans)) for f in level)
 
 
 # -- noncrossing perfect matchings -------------------------------------------
@@ -438,17 +475,18 @@ def matching_action(p: int, m: Matching) -> Matching:
 
 
 def matching_to_syt(m: Matching) -> StandardTableau:
-    """Two-row tableau with the openers on the first row."""
-    openers = sorted(a for a, _ in m.pairs)
-    closers = sorted(b for _, b in m.pairs)
-    return StandardTableau((tuple(openers), tuple(closers)))
+    """Two-row tableau with the openers on the first row (the empty
+    tableau for the empty matching)."""
+    openers = tuple(sorted(a for a, _ in m.pairs))
+    closers = tuple(sorted(b for _, b in m.pairs))
+    return StandardTableau((openers, closers) if m.pairs else ())
 
 
 def matching_from_syt(t: StandardTableau) -> Matching:
     """Inverse bijection: each closer pairs with the nearest free opener."""
-    if len(t.rows) != 2 or len(t.rows[0]) != len(t.rows[1]):
+    if t.rows and (len(t.rows) != 2 or len(t.rows[0]) != len(t.rows[1])):
         raise ValueError("matchings correspond to rectangular two-row tableaux")
-    openers = set(t.rows[0])
+    openers = set(t.rows[0] if t.rows else ())
     stack: list[int] = []
     pairs = []
     for x in range(1, t.n + 1):

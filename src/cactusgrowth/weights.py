@@ -1,4 +1,4 @@
-"""Weights, dominance, and partitions for the supported Cartan families.
+"""Weights, dominance, and the partition type for the supported Cartan families.
 
 Three families are supported: GL(n) with integer-vector weights, SL2 with a
 single integer coordinate <wt, alpha_check>, and Sp(2n) with weights in the
@@ -7,7 +7,9 @@ of a Weyl orbit: sort for GL, absolute value for SL2, absolute values then
 sort for Sp.  Corners are plain int tuples: dom, dominant, local_rule and
 weyl_orbit are what every internal path computes with.  Weight (with its
 + and -), CartanContext.weight, dom_w and is_dominant remain only because
-the benchmark's layer probes call Weight, dom_w and is_dominant.
+the benchmark's layer probes call Weight, dom_w and is_dominant.  Partition
+is the checked partition type of the public edges; the tableau oracles,
+with conjugate and the strip tests, run on int tuples in oracles.
 """
 from __future__ import annotations
 
@@ -203,48 +205,13 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def length(self) -> int:
-        return len(self.parts)
-
-    def part(self, i: int) -> int:
-        """The i-th part (0-based), 0 beyond the length."""
-        return self.parts[i] if i < len(self.parts) else 0
-
     def padded(self, n: int) -> tuple[int, ...]:
         if len(self.parts) > n:
             raise ValueError(f"{self} does not fit in {n} rows")
         return self.parts + (0,) * (n - len(self.parts))
 
     def contains(self, other: "Partition") -> bool:
-        return all(other.part(i) <= self.part(i) for i in range(other.length()))
+        return len(other.parts) <= len(self.parts) and all(a <= b for a, b in zip(other.parts, self.parts))
 
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
-
-
-def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram.
-
-    >>> conjugate(Partition((4, 2, 1))).parts
-    (3, 2, 1, 1)
-    """
-    if not p.parts:
-        return Partition()
-    return Partition(tuple(sum(1 for part in p.parts if part > i) for i in range(p.parts[0])))
-
-
-def strip_check(inner: Partition, outer: Partition, kind: str) -> bool:
-    """True when outer/inner is a horizontal or vertical strip.
-
-    Horizontal: at most one added box per column, i.e. outer[i+1] <= inner[i].
-    Vertical: at most one added box per row.
-    """
-    if kind not in ("horizontal", "vertical"):
-        raise ValueError(f"kind must be horizontal or vertical, got {kind!r}")
-    if not outer.contains(inner):
-        return False
-    rows = outer.length()
-    if kind == "horizontal":
-        return all(outer.part(i + 1) <= inner.part(i) for i in range(rows))
-    return all(outer.part(i) - inner.part(i) <= 1 for i in range(rows))
-

@@ -224,6 +224,18 @@ def test_malformed_tableau_json_exit_2(capsys, argv):
     assert_one_line_exit_2(*run(capsys, *argv))
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["oracle", "bk", "--json", "[[0]]", "--i", "1"], "entries >= 1"),
+    (["oracle", "bk", "--json", "[[-1]]", "--i", "1"], "entries >= 1"),
+    (["oracle", "bk", "--tableau", "1/", "--i", "1"], "rows must be nonempty"),
+    (["oracle", "evacuate", "--json", "[[1,2],[]]"], "rows must be nonempty"),
+])
+def test_oracle_refuses_entries_below_one_and_empty_rows(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert_one_line_exit_2(code, out, err)
+    assert message in err
+
+
 @pytest.mark.parametrize("op", ["evacuate", "promote", "bk", "dk"])
 def test_oracle_with_two_tableau_sources_exit_2(capsys, op):
     code, out, err = run(capsys, "oracle", op, "--tableau", "12/3", "--json", "[[1]]", "--i", "1")

@@ -22,7 +22,7 @@ from cactusgrowth.hecke import (
 )
 from cactusgrowth.oracles import StandardTableau, partitions_of, syt_from_string
 from cactusgrowth.qalgebra import LaurentPoly, QMatrix, RationalFunction, parse_rational, q_int
-from cactusgrowth.suites import relation_words
+from cactusgrowth.suites import check_hecke_shape, relation_words
 
 ONE = RationalFunction.one()
 ZERO = RationalFunction.zero()
@@ -55,6 +55,15 @@ def test_basis_order_row_reading():
     rep = SeminormalRep((2, 1))
     assert [str(t) for t in rep.basis] == ["12/3", "13/2"]
     assert rep.dimension == 2
+
+
+def test_a_zero_inside_a_shape_is_refused_and_trailing_zeros_are_dropped():
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        SeminormalRep((2, 0, 1))
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        check_hecke_shape((0, 2, 1))
+    assert SeminormalRep((2, 1, 0, 0)).shape == (2, 1)
+    assert check_hecke_shape((2, 1, 0)).passed
 
 
 def test_single_row_and_column_actions():

@@ -35,6 +35,13 @@ def test_import_cli_loads_no_layer():
     assert loaded_by("import cactusgrowth.cli") == {"cactusgrowth", "cactusgrowth.cli"}
 
 
+def test_import_oracles_loads_no_growth_layer():
+    """The oracles cross-check the growth path, so they must not run on it."""
+    assert loaded_by("import cactusgrowth.oracles") == {
+        "cactusgrowth", "cactusgrowth.errors", "cactusgrowth.weights", "cactusgrowth.oracles",
+    }
+
+
 def imported_by_command(*argv: str) -> set[str]:
     """Every module a fresh `python -m cactusgrowth.cli *argv` imports, site's included."""
     proc = python("-X", "importtime", "-m", "cactusgrowth.cli", *argv)
@@ -45,7 +52,7 @@ def imported_by_command(*argv: str) -> set[str]:
 
 # The source lines a cold `act` compiles: the package modules it imports and
 # cli itself, which runs as __main__.
-COLD_ACT_LINES = 1430
+COLD_ACT_LINES = 1398
 
 
 def test_cold_act_loads_only_the_layers_it_runs():

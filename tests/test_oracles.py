@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cactusgrowth.oracles import (
@@ -7,18 +9,24 @@ from cactusgrowth.oracles import (
     StripViolation,
     all_matchings,
     bender_knuth,
+    bender_knuth_rows,
+    conjugate,
+    conjugates,
     count_syt,
     dual_knuth,
     dual_sequence,
     enumerate_ssyt,
     enumerate_syt,
     evacuation_oracle,
+    gt_levels,
     gt_pattern,
     matching_action,
     matching_from_syt,
     matching_to_syt,
     partitions_of,
     promotion_oracle,
+    rows_from_dual_corners,
+    strip_check,
     syt_from_string,
     tableau_from_dual_sequence,
     tableau_from_gt,
@@ -33,6 +41,83 @@ def test_standard_tableau_validation():
         StandardTableau(((2, 1),))
     with pytest.raises(ValueError):
         StandardTableau(((1, 2), (2, 3)))
+    with pytest.raises(ValueError, match="nonempty"):
+        StandardTableau(((1, 2), ()))
+    with pytest.raises(ValueError, match="nonempty"):
+        syt_from_string("")
+    assert StandardTableau(()).n == 0
+
+
+def test_semistandard_tableau_refuses_entries_below_one_and_empty_rows():
+    for rows in (((0,),), ((-1,),), ((0, 1), (2,)), ((1,), ()), ((), ())):
+        with pytest.raises(ValueError, match="nonempty, with entries >= 1"):
+            SemistandardTableau(rows)
+    assert SemistandardTableau(()).rows == ()
+    assert SemistandardTableau(((1, 1), (2,))).rows == ((1, 1), (2,))
+
+
+def brute_strip(inner, outer, kind):
+    """Reference: outer/inner as cell sets; a strip has its added cells in
+    distinct columns (horizontal) or distinct rows (vertical)."""
+    cells_in = {(i, j) for i, part in enumerate(inner) for j in range(part)}
+    cells_out = {(i, j) for i, part in enumerate(outer) for j in range(part)}
+    if not cells_in <= cells_out:
+        return False
+    added = [c[1] if kind == "horizontal" else c[0] for c in cells_out - cells_in]
+    return len(added) == len(set(added))
+
+
+def test_strip_checks():
+    assert strip_check((3,), (4, 1), "horizontal")
+    assert strip_check((1, 1, 1), (2, 1, 1, 1), "vertical")
+    assert not strip_check((1,), (3, 1), "vertical")
+    assert not strip_check((1,), (2, 2), "horizontal")
+    for p in ((3, 1), (), (2, 2, 2)):
+        assert strip_check(p, p, "horizontal")
+        assert strip_check(p, p, "vertical")
+    # containment failures, also where the inner partition is the longer one
+    assert not strip_check((2,), (1,), "horizontal")
+    assert not strip_check((1, 1), (1,), "vertical")
+    assert strip_check((2, 0, 0), (3, 1), "horizontal")  # trailing zeros are allowed
+    with pytest.raises(ValueError, match="kind"):
+        strip_check((), (1,), "diagonal")
+
+
+def test_strip_check_column_gains_two():
+    # adding two boxes in one column is never a horizontal strip
+    assert not strip_check((1,), (1, 1, 1), "horizontal")
+    assert strip_check((1,), (1, 1, 1), "vertical")
+
+
+def test_strip_check_matches_the_cell_definition():
+    shapes = [p for n in range(7) for p in partitions_of(n)]
+    for inner in shapes:
+        for outer in shapes:
+            for kind in ("horizontal", "vertical"):
+                expected = brute_strip(inner, outer, kind)
+                assert strip_check(inner, outer, kind) == expected, (inner, outer, kind)
+                assert strip_check(inner + (0,), outer + (0, 0), kind) == expected
+
+
+def test_conjugate():
+    assert conjugate((4, 2, 1)) == (3, 2, 1, 1)
+    assert conjugate(()) == ()
+    assert conjugate((4, 1)) == (2, 1, 1, 1)
+    assert conjugate((2, 1, 0, 0)) == (2, 1)
+    assert conjugate((0,)) == ()
+
+
+def test_conjugate_involution_brute():
+    rng = random.Random(0)
+    for _ in range(100):
+        parts = tuple(sorted((rng.randint(0, 6) for _ in range(rng.randint(0, 5))), reverse=True))
+        p = tuple(x for x in parts if x)
+        assert conjugate(conjugate(parts)) == p
+        # transpose computed directly from the cell set
+        cells = {(i, j) for i, part in enumerate(parts) for j in range(part)}
+        transposed = {(j, i) for i, j in cells}
+        q = conjugate(parts)
+        assert {(i, j) for i, part in enumerate(q) for j in range(part)} == transposed
 
 
 def test_enumerate_syt_counts():
@@ -73,11 +158,24 @@ def test_enumerate_syt_matches_the_recursive_enumeration_in_order():
             assert [t.rows for t in got] == recursive_syt(shape)
             assert got == tuple(StandardTableau(t.rows) for t in got)  # each one passes the checks
     assert enumerate_syt((2, 1, 0)) == enumerate_syt((2, 1))
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        enumerate_syt((2, 0, 1))
 
 
 def test_enumerate_syt_of_a_long_row_does_not_recurse():
     (t,) = enumerate_syt((3000,))
     assert t.rows == (tuple(range(1, 3001)),)
+
+
+def test_standard_oracles_build_standard_tableaux():
+    """The oracles build their outputs unchecked; each passes the checks."""
+    for n in range(1, 8):
+        for shape in partitions_of(n):
+            for t in enumerate_syt(shape):
+                outs = [evacuation_oracle(t), promotion_oracle(t)] + [dual_knuth(t, i) for i in range(1, n - 1)]
+                for out in outs:
+                    assert StandardTableau(out.rows) == out
+                    assert out.shape() == t.shape()
 
 
 def test_evacuation_examples():
@@ -135,6 +233,81 @@ def test_dual_knuth_12_34():
     assert str(dual_knuth(t, 2)) == "13/24"
 
 
+def recursive_ssyt(shape, max_entry):
+    """Reference: the depth-first generator over the cells in row-major
+    order, each cell trying every value its neighbours allow, smallest first."""
+    shape = tuple(s for s in shape if s)
+    rows = [[0] * s for s in shape]
+    cells = [(i, j) for i, s in enumerate(shape) for j in range(s)]
+
+    def rec(k):
+        if k == len(cells):
+            yield tuple(tuple(r) for r in rows)
+            return
+        i, j = cells[k]
+        lo = 1
+        if j > 0:
+            lo = max(lo, rows[i][j - 1])
+        if i > 0:
+            lo = max(lo, rows[i - 1][j] + 1)
+        for v in range(lo, max_entry + 1):
+            rows[i][j] = v
+            yield from rec(k + 1)
+        rows[i][j] = 0
+
+    return list(rec(0))
+
+
+def shapes_inside(bound):
+    return [sh for n in range(sum(bound) + 1) for sh in partitions_of(n)
+            if len(sh) <= len(bound) and all(a <= b for a, b in zip(sh, bound))]
+
+
+def test_enumerate_ssyt_matches_the_recursive_generator_in_order():
+    total = 0
+    for shape in shapes_inside((4, 3, 2, 1)):
+        got = enumerate_ssyt(shape, 5)
+        assert [t.rows for t in got] == recursive_ssyt(shape, 5)
+        assert got == tuple(SemistandardTableau(t.rows) for t in got)  # each one passes the checks
+        total += len(got)
+    assert total == 10879
+    assert enumerate_ssyt((2, 1, 0), 3) == enumerate_ssyt((2, 1), 3)
+    assert [t.rows for t in enumerate_ssyt((), 3)] == [()]
+    assert enumerate_ssyt((2, 2), 1) == ()
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        enumerate_ssyt((1, 2), 3)
+
+
+def reference_bender_knuth(rows, i):
+    """Reference: mark each i with no i+1 below it and each i+1 with no i
+    above it free, and refill each row's free cells with its counts swapped."""
+    def entry(r, c):
+        return rows[r][c] if 0 <= r < len(rows) and c < len(rows[r]) else None
+
+    out = []
+    for r, row in enumerate(rows):
+        free = [c for c, v in enumerate(row)
+                if (v == i and entry(r + 1, c) != i + 1) or (v == i + 1 and entry(r - 1, c) != i)]
+        a = sum(1 for c in free if row[c] == i)
+        new = list(row)
+        for idx, c in enumerate(free):
+            new[c] = i if idx < len(free) - a else i + 1
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def test_tuple_oracles_match_their_references_on_semistandard_tableaux():
+    for shape in shapes_inside((3, 2, 2)):
+        for t in enumerate_ssyt(shape, 5):
+            corners = conjugates(gt_levels(t.rows, 5), 5)
+            assert [Partition(c) for c in corners] == dual_sequence(t, 5)
+            assert rows_from_dual_corners(corners) == t.rows
+            for i in range(1, 5):
+                toggled = bender_knuth(t, i)
+                assert toggled.rows == bender_knuth_rows(t.rows, i) == reference_bender_knuth(t.rows, i)
+                assert SemistandardTableau(toggled.rows) == toggled
+
+
 def test_bender_knuth_worked_example():
     t = SemistandardTableau(((1, 1, 1, 2), (2, 3), (4,)))
     assert bender_knuth(t, 2) == SemistandardTableau(((1, 1, 1, 3), (2, 3), (4,)))
@@ -181,6 +354,15 @@ def test_strip_violation_guard():
         tableau_from_gt([Partition(()), Partition((1, 1))])
     with pytest.raises(StripViolation):
         tableau_from_dual_sequence([Partition(()), Partition((2,))])
+    with pytest.raises(StripViolation):  # a step that loses a box
+        tableau_from_dual_sequence([Partition(()), Partition((1, 1)), Partition((1,))])
+    with pytest.raises(StripViolation, match="step 1"):
+        rows_from_dual_corners([(0, 0), (1, 0), (3, 0)])
+    for make in (tableau_from_gt, tableau_from_dual_sequence):
+        with pytest.raises(ValueError, match="empty partition"):
+            make([Partition((1,)), Partition((2,))])
+        with pytest.raises(ValueError, match="empty partition"):
+            make([])
 
 
 def test_matchings_catalan():
@@ -211,6 +393,9 @@ def test_matching_action_preserves_noncrossing():
 
 
 def test_matching_bijection_round_trip():
+    (empty,) = all_matchings(0)
+    assert matching_to_syt(empty).rows == ()
+    assert matching_from_syt(matching_to_syt(empty)) == empty
     for m in all_matchings(8):
         assert matching_from_syt(matching_to_syt(m)) == m
     for t in enumerate_syt((4, 4)):

@@ -6,10 +6,8 @@ from cactusgrowth.weights import (
     CartanContext,
     Partition,
     Weight,
-    conjugate,
     dom_w,
     is_dominant,
-    strip_check,
     weyl_orbit,
 )
 
@@ -46,45 +44,6 @@ def test_dom_w_orbit_constant(ctx, bound):
         assert is_dominant(d)
         assert dom_w(d) == d
         assert all(dom_w(Weight(ctx, o)) == d for o in weyl_orbit(ctx.family, coords))
-
-
-def test_strip_checks():
-    assert strip_check(Partition([3]), Partition([4, 1]), "horizontal")
-    assert strip_check(Partition([1, 1, 1]), Partition([2, 1, 1, 1]), "vertical")
-    assert not strip_check(Partition([1]), Partition([3, 1]), "vertical")
-    assert not strip_check(Partition([1]), Partition([2, 2]), "horizontal")
-    for p in (Partition([3, 1]), Partition(), Partition([2, 2, 2])):
-        assert strip_check(p, p, "horizontal")
-        assert strip_check(p, p, "vertical")
-    # containment failures
-    assert not strip_check(Partition([2]), Partition([1]), "horizontal")
-
-
-def test_strip_check_column_gains_two():
-    # adding two boxes in one column is never a horizontal strip
-    assert not strip_check(Partition([1]), Partition([1, 1, 1]), "horizontal")
-    assert strip_check(Partition([1]), Partition([1, 1, 1]), "vertical")
-
-
-def test_conjugate():
-    assert conjugate(Partition([4, 2, 1])).parts == (3, 2, 1, 1)
-    assert conjugate(Partition()).parts == ()
-    assert conjugate(Partition([4, 1])).parts == (2, 1, 1, 1)
-
-
-def test_conjugate_involution_brute():
-    import random
-
-    rng = random.Random(0)
-    for _ in range(100):
-        parts = sorted((rng.randint(0, 6) for _ in range(rng.randint(0, 5))), reverse=True)
-        p = Partition(parts)
-        assert conjugate(conjugate(p)) == p
-        # transpose computed directly from the cell set
-        cells = {(i, j) for i, part in enumerate(p.parts) for j in range(part)}
-        transposed = {(j, i) for i, j in cells}
-        q = conjugate(p)
-        assert {(i, j) for i, part in enumerate(q.parts) for j in range(part)} == transposed
 
 
 def test_partition_trailing_zeros():
