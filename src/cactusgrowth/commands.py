@@ -206,7 +206,12 @@ def cmd_oracle(args) -> int:
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
-    shape = tuple(int(p) for p in text.split(",") if p.strip())
+    parts = [p.strip() for p in text.split(",")]
+    for p in parts:
+        # int() would also take signs and digit separators: "2_1" is not (2, 1)
+        if p and not (p.isascii() and p.isdigit()):
+            raise ValueError(f"shape {text!r}: part {p!r} is not a decimal number")
+    shape = tuple(int(p) for p in parts if p)
     if not any(shape):
         raise ValueError(f"shape {text!r} has no positive part")
     return shape
@@ -244,8 +249,7 @@ def cmd_hecke(args) -> int:
         text = hecke.sigma_vv(srep).pretty()
     else:
         raise _usage(f"unknown operator {op!r}")
-    # str(t) of each basis tableau, in one join
-    print("basis: " + " ".join(["/".join(["".join(map(str, row)) for row in t.rows]) for t in srep.basis]))
+    print(srep.table.basis_line)
     print(text)
     return EXIT_OK
 

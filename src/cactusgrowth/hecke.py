@@ -5,6 +5,13 @@ of that shape as basis, ordered row-reading lexicographically and indexed
 by content vector, which fixes a standard tableau: exchanging i and i+1
 transposes c(i) and c(i+1).  Matrices are exact rational functions of q.
 
+Each shape's basis, content vectors, their index and the `basis:` line that
+`hecke matrix` prints are built once per process (`shape_table`), in a cache
+bounded by `_SHAPE_TABLE_CACHE`, above the 66 shapes with at most 8 boxes.
+Every representation of that shape shares them, which helps a shape
+requested again in one process; a fresh one-shot process builds one table,
+as it built one basis before.
+
 Conventions, fixed by requiring the defining relations to hold exactly
 (u_i^2 = -[2] u_i, the modified braid relation, distant commutation, and
 tau_i^2 = 1):
@@ -26,7 +33,8 @@ diagonal with entries q^(2 c(i+1)).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence, Union
+from types import MappingProxyType
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .cactus import CactusWord, s_to_tau
 from .errors import DomainError
@@ -42,18 +50,43 @@ class IndexOutOfRange(ValueError, DomainError):
     """Generator index outside 1..r-1 for the representation."""
 
 
+# bound on memoized shape tables; above the 66 nonempty shapes with at most 8 boxes
+_SHAPE_TABLE_CACHE = 128
+
+
+class ShapeTable(NamedTuple):
+    """What every representation of one shape shares: the basis, its content
+    vectors, the index of each content vector (read only) and the `basis:` line."""
+
+    basis: tuple[StandardTableau, ...]
+    contents: tuple[tuple[int, ...], ...]
+    index: MappingProxyType[tuple[int, ...], int]
+    basis_line: str
+
+
+@lru_cache(maxsize=_SHAPE_TABLE_CACHE)
+def shape_table(shape: tuple[int, ...]) -> ShapeTable:
+    """The table of a validated partition tuple (no zero part), built once per
+    process: the basis sorted by rows, then what is read off it."""
+    basis = tuple(sorted(enumerate_syt(shape), key=lambda t: t.rows))
+    r = sum(shape)
+    contents = tuple(_content_vector(t.rows, r) for t in basis)
+    # str(t) of each basis tableau, in one join
+    line = "basis: " + " ".join(["/".join(["".join(map(str, row)) for row in t.rows]) for t in basis])
+    return ShapeTable(basis, contents, MappingProxyType({c: k for k, c in enumerate(contents)}), line)
+
+
 class SeminormalRep:
     """Basis bookkeeping for one irreducible seminormal representation."""
 
     def __init__(self, shape: Sequence[int]):
         self.shape = Partition(shape).parts  # trailing zeros only: a zero inside is no partition
         self.r = sum(self.shape)
-        self.basis: tuple[StandardTableau, ...] = tuple(
-            sorted(enumerate_syt(self.shape), key=lambda t: t.rows)
-        )
+        self.table = shape_table(self.shape)
+        self.basis = self.table.basis
         self.dimension = len(self.basis)
-        self._contents = tuple(_content_vector(t.rows, self.r) for t in self.basis)
-        self._index = {c: k for k, c in enumerate(self._contents)}
+        self._contents = self.table.contents
+        self._index = self.table.index
 
     def index(self, t: StandardTableau) -> int:
         # sized by t itself: a smaller tableau padded to r could match a basis one

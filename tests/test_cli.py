@@ -353,6 +353,21 @@ def test_hecke_shape_over_the_size_cap(capsys):
     assert code == 3 and len(err.splitlines()) == 1
 
 
+def test_hecke_size_cap_is_checked_before_the_shape_table(capsys, monkeypatch):
+    import cactusgrowth.hecke as hecke
+
+    code, out, _ = run(capsys, "hecke", "matrix", "--shape", "3,2")
+    assert code == 0 and out.startswith("basis: 123/45 ")
+    # the table of (3, 2) is built, and the cap still refuses the shape, before reading it
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(hecke, "shape_table", lambda shape: pytest.fail("shape table read over the cap"))
+        for sub in ("matrix", "check"):
+            code, out, err = run(capsys, "--max-size", "4", "hecke", sub, "--shape", "3,2")
+            assert code == 3 and out == ""
+            assert err.splitlines() == ["domain error: shape 3,2 has 5 standard tableaux, over the cap of 4"]
+
+
 def test_hecke_matrix_of_a_long_row_is_quick(capsys):
     # 1000 boxes, one standard tableau: the basis is enumerated without recursion
     start = time.perf_counter()
@@ -390,6 +405,12 @@ def test_hecke_shape_that_is_not_a_partition(capsys):
             code, out, err = run(capsys, "hecke", sub, "--shape", shape)
             assert code == 2 and out == ""
             assert err.splitlines() == [f"parse error: shape {shape!r} has no positive part"]
+    # only ASCII decimal parts: int() alone would read "2_1" as (21) and "+2,1" as (2, 1)
+    for shape, part in (("2_1", "2_1"), ("+2,1", "+2"), ("2,-1", "-1"), ("3,x", "x"), ("\uff12,1", "\uff12")):
+        for sub in ("check", "matrix"):
+            code, out, err = run(capsys, "hecke", sub, "--shape", shape)
+            assert code == 2 and out == ""
+            assert err.splitlines() == [f"parse error: shape {shape!r}: part {part!r} is not a decimal number"]
 
 
 def test_hecke_matrix_output_is_pinned_byte_for_byte(capsys):

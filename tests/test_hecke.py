@@ -6,8 +6,10 @@ import pytest
 from cactusgrowth.cactus import CactusGen, CactusWord, admissible_pairs, s_to_tau
 from cactusgrowth.hecke import (
     IndexOutOfRange,
+    _SHAPE_TABLE_CACHE,
     SeminormalRep,
     _coefficients,
+    _content_vector,
     cactus_matrix,
     generator_entries,
     jm_matrix,
@@ -18,9 +20,10 @@ from cactusgrowth.hecke import (
     tau_matrix,
     tau_via_jm,
     tau_word_matrix,
+    shape_table,
     u_matrix,
 )
-from cactusgrowth.oracles import StandardTableau, partitions_of, syt_from_string
+from cactusgrowth.oracles import StandardTableau, enumerate_syt, partitions_of, syt_from_string
 from cactusgrowth.qalgebra import LaurentPoly, QMatrix, RationalFunction, parse_rational, q_int
 from cactusgrowth.suites import check_hecke_shape, relation_words
 
@@ -55,6 +58,38 @@ def test_basis_order_row_reading():
     rep = SeminormalRep((2, 1))
     assert [str(t) for t in rep.basis] == ["12/3", "13/2"]
     assert rep.dimension == 2
+
+
+def _fresh_build(shape):
+    """The basis, contents, index map and basis line built from scratch, as
+    each representation built them before the shape table."""
+    basis = tuple(sorted(enumerate_syt(shape), key=lambda t: t.rows))
+    contents = tuple(tuple(t.content(e) for e in range(1, sum(shape) + 1)) for t in basis)
+    return basis, contents, {c: k for k, c in enumerate(contents)}, "basis: " + " ".join(map(str, basis))
+
+
+def test_shape_table_equals_a_fresh_build():
+    for n in range(1, 7):
+        for shape in partitions_of(n):
+            basis, contents, index, line = _fresh_build(shape)
+            table = shape_table(shape)
+            assert table.basis == basis
+            assert table.contents == contents == tuple(_content_vector(t.rows, n) for t in basis)
+            assert table.index == index and table.basis_line == line
+            rep = SeminormalRep(shape)
+            for k, t in enumerate(basis):
+                assert rep.index(t) == k
+                for i in range(1, n):
+                    c = contents[k]
+                    swapped = c[:i - 1] + (c[i], c[i - 1]) + c[i + 1:]
+                    assert rep.swap(k, i) == (None if abs(c[i] - c[i - 1]) == 1 else index[swapped])
+
+
+def test_representations_of_one_shape_share_one_table():
+    assert SeminormalRep((3, 2)).table is SeminormalRep((3, 2)).table
+    assert SeminormalRep((2, 1, 0)).table is SeminormalRep([2, 1]).table
+    # every shape with at most 8 boxes stays memoized
+    assert shape_table.cache_info().maxsize == _SHAPE_TABLE_CACHE > sum(len(partitions_of(n)) for n in range(1, 9))
 
 
 def test_a_zero_inside_a_shape_is_refused_and_trailing_zeros_are_dropped():
