@@ -17,7 +17,7 @@ error, 3 domain error (invalid step, dimension mismatch, ...).
 # file imports only the standard library, and each handler imports the
 # layers it calls where it calls them, so `act` never loads the crystals,
 # the Hecke algebra, the oracles or the verification suites, and the
-# handlers other than act are in commands.  In process those imports run
+# handlers other than act, and --help, are in commands.  In process those imports run
 # on every request; the absolute form `import cactusgrowth.x as x` costs
 # about a third of `from . import x`, which calls back into importlib's
 # Python code.
@@ -41,17 +41,14 @@ EXIT_DOMAIN = 3
 def _read_word(args) -> HighestWeightWord:
     import cactusgrowth.words as words
 
-    sources = [s for s in (args.input, args.json, getattr(args, "demo", None)) if s]
-    if len(sources) != 1:
+    if len([s for s in (args.input, args.json, args.demo) if s]) != 1:
         raise _usage("provide exactly one of --input, --json, --demo")
-    if getattr(args, "demo", None):
+    if args.demo:
         return _function("_demo_word")(args.demo)
     if args.input:
         with open(args.input) as fh:
-            payload = json.load(fh)
-    else:
-        payload = json.loads(args.json)
-    return words.word_from_json(payload)
+            return words.word_from_json(json.load(fh))
+    return words.word_from_json(json.loads(args.json))
 
 
 def _usage(message: str) -> Exception:
@@ -135,6 +132,9 @@ _TOP = (None, __doc__, ("cmd", tuple(_COMMANDS)), dict([
     _opt("--seed", int, 0, about="seed for randomized property sampling"),
     _opt("--max-size", int, 10**6,
          about="element cap for materialized crystals, Hecke bases and cylindrical windows")]))
+# each command's option defaults, and the global ones (None) with no command yet
+_DEFAULTS = {cmd: {spec[0]: spec[2] for spec in opts.values()} for cmd, (_, _, _, opts) in _COMMANDS.items()}
+_DEFAULTS[None] = {"cmd": None, **{spec[0]: spec[2] for spec in _TOP[3].values()}}
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
@@ -156,29 +156,21 @@ def _convert(name: str, typ: type, choices: Optional[tuple], text):
     return text
 
 
-def _help(cmd: Optional[str]) -> str:
-    _, about, pos, opts = _COMMANDS[cmd] if cmd else _TOP
-    usage, lines = [f"usage: cactusgrowth{' ' + cmd if cmd else ''} [-h]"], []
-    for name, (dest, typ, _, required, choices, text) in opts.items():
-        arg = name if typ is bool else f"{name} {'{' + ','.join(choices) + '}' if choices else dest.upper()}"
-        usage.append(arg if required else f"[{arg}]")
-        lines.append(f"  {arg:<24} {text}".rstrip())
-    if pos:
-        usage.append("{%s}%s" % (",".join(pos[1]), "" if cmd else " ..."))
-    lines += [] if cmd else [f"  {c:<24} {spec[1]}" for c, spec in _COMMANDS.items()]
-    return "\n".join([" ".join(usage), "", about.strip(), "", *lines])
-
-
 def _parse_args(argv: Optional[list[str]] = None) -> SimpleNamespace:
     """A fresh namespace from the table, with argparse's values and messages."""
     argv = sys.argv[1:] if argv is None else argv
     cmd, (fn, _, pos, opts) = None, _TOP
-    values = {"cmd": None, **{spec[0]: spec[2] for spec in opts.values()}}
+    values = dict(_DEFAULTS[None])
     extras, k = [], 0
     while k < len(argv):
         tok, k = argv[k], k + 1
+        spec = opts.get(tok)  # `--name value` for a known option that takes a value, in one lookup
+        if spec is not None and spec[1] is not bool and k < len(argv) and not _is_option(argv[k], opts):
+            values[spec[0]] = _convert(tok, spec[1], spec[4], argv[k])
+            k += 1
+            continue
         if tok in ("-h", "--help"):
-            print(_help(cmd))
+            print(_function("_help")(cmd))
             raise SystemExit(EXIT_OK)
         name, eq, text = tok.partition("=")
         option = _is_option(tok, opts)
@@ -189,17 +181,15 @@ def _parse_args(argv: Optional[list[str]] = None) -> SimpleNamespace:
             pos = None
             if cmd is None:  # the command: the rest of argv is its own
                 cmd, (fn, _, pos, opts) = tok, _COMMANDS[tok]
-                values.update({spec[0]: spec[2] for spec in opts.values()}, fn=_function(fn))
+                values.update(_DEFAULTS[cmd], fn=_function(fn))
         else:
             dest, typ, _, _, choices, _ = opts[name]
             if typ is bool and eq:
                 raise _usage(f"argument {name}: ignored explicit argument {text!r}")
             if typ is bool:
                 text = True
-            elif not eq:
-                if k == len(argv) or _is_option(argv[k], opts):
-                    raise _usage(f"argument {name}: expected one argument")
-                text, k = argv[k], k + 1
+            elif not eq:  # `--name value` was taken above, so no value follows
+                raise _usage(f"argument {name}: expected one argument")
             values[dest] = _convert(name, typ, choices, text)
     # a required option has no default, so None means it was not given
     missing = [pos[0]] if pos else []

@@ -1,17 +1,31 @@
-"""The CLI handlers other than act, and the demo inputs.  cli imports this
-module when a request first needs it, so a cold `act` does not compile it;
-each handler imports its layers where it calls them, as in cli.
+"""The CLI handlers other than act, the --help text and the demo inputs.
+cli imports this module when a request first needs it, so a cold `act` does
+not compile it; each handler imports its layers where it calls them, as in cli.
 """
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
-from .cli import EXIT_OK, EXIT_VERIFY, _emit_word, _read_word, _usage
+from .cli import _COMMANDS, _TOP, EXIT_OK, EXIT_VERIFY, _emit_word, _read_word, _usage
 
 if TYPE_CHECKING:
     from .oracles import StandardTableau
     from .words import HighestWeightWord
+
+
+def _help(cmd: Optional[str]) -> str:
+    """The --help text of a command (None: the global options and the commands)."""
+    _, about, pos, opts = _COMMANDS[cmd] if cmd else _TOP
+    usage, lines = [f"usage: cactusgrowth{' ' + cmd if cmd else ''} [-h]"], []
+    for name, (dest, typ, _, required, choices, text) in opts.items():
+        arg = name if typ is bool else f"{name} {'{' + ','.join(choices) + '}' if choices else dest.upper()}"
+        usage.append(arg if required else f"[{arg}]")
+        lines.append(f"  {arg:<24} {text}".rstrip())
+    if pos:
+        usage.append("{%s}%s" % (",".join(pos[1]), "" if cmd else " ..."))
+    lines += [] if cmd else [f"  {c:<24} {spec[1]}" for c, spec in _COMMANDS.items()]
+    return "\n".join([" ".join(usage), "", about.strip(), "", *lines])
 
 
 def _load_fixture(name: str) -> dict:
@@ -194,7 +208,7 @@ def cmd_oracle(args) -> int:
         if args.json:
             t = oracles.SemistandardTableau(_tableau_json(args.json))
         elif args.tableau:
-            t = oracles.SemistandardTableau(tuple(tuple(int(ch) for ch in part) for part in args.tableau.split("/")))
+            t = oracles.SemistandardTableau(oracles.rows_from_string(args.tableau))
         else:
             raise _usage("bk needs --tableau or --json")
         if args.i is None:
@@ -234,12 +248,11 @@ def cmd_hecke(args) -> int:
         print(rep.summary())
         return EXIT_OK if rep.passed else EXIT_VERIFY
     import cactusgrowth.hecke as hecke
-    import cactusgrowth.qalgebra as qalgebra
 
     srep = hecke.SeminormalRep(shape)
     op = args.op
     if op in ("u", "t", "tau"):
-        text = qalgebra.render_grid(srep.dimension, srep.dimension, hecke.generator_entries(srep, args.i, op))
+        text = hecke.generator_grid(srep, args.i, op)
     elif op == "jm":
         text = hecke.jm_matrix(srep, args.i).pretty()
     elif op == "sigma":
@@ -249,8 +262,7 @@ def cmd_hecke(args) -> int:
         text = hecke.sigma_vv(srep).pretty()
     else:
         raise _usage(f"unknown operator {op!r}")
-    print(srep.table.basis_line)
-    print(text)
+    print(f"{srep.table.basis_line}\n{text}")
     return EXIT_OK
 
 

@@ -10,7 +10,8 @@ Each shape's basis, content vectors, their index and the `basis:` line that
 bounded by `_SHAPE_TABLE_CACHE`, above the 66 shapes with at most 8 boxes.
 Every representation of that shape shares them, which helps a shape
 requested again in one process; a fresh one-shot process builds one table,
-as it built one basis before.
+as it built one basis before.  In the same way each small grid of u_i, t_i
+or tau_i that `hecke matrix` prints is rendered once (`generator_grid`).
 
 Conventions, fixed by requiring the defining relations to hold exactly
 (u_i^2 = -[2] u_i, the modified braid relation, distant commutation, and
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 from .cactus import CactusWord, s_to_tau
 from .errors import DomainError
 from .oracles import StandardTableau, enumerate_syt
-from .qalgebra import LaurentPoly, QMatrix, RationalFunction, q_int
+from .qalgebra import LaurentPoly, QMatrix, RationalFunction, q_int, render_grid
 from .weights import Partition
 
 if TYPE_CHECKING:
@@ -52,6 +53,11 @@ class IndexOutOfRange(ValueError, DomainError):
 
 # bound on memoized shape tables; above the 66 nonempty shapes with at most 8 boxes
 _SHAPE_TABLE_CACHE = 128
+# generator_grid keeps grids of dimension at most _GRID_DIMENSION (every shape
+# with at most 5 boxes), at most _GRID_CACHE of them: above the 243 grids of u,
+# t and tau on the shapes with at most 6 boxes and dimension at most 6
+_GRID_DIMENSION = 6
+_GRID_CACHE = 256
 
 
 class ShapeTable(NamedTuple):
@@ -155,6 +161,25 @@ def generator_entries(rep: SeminormalRep, i: int, which: str) -> dict[tuple[int,
         if j is not None:
             entries[j, k] = coefficients["swap"]
     return entries
+
+
+def generator_grid(rep: SeminormalRep, i: int, which: str) -> str:
+    """The text `hecke matrix` prints for generator `which` (u, t or tau) at i;
+    a representation of dimension at most _GRID_DIMENSION reads it from _kept_grid."""
+    if rep.dimension <= _GRID_DIMENSION:
+        return _kept_grid(rep.shape, i, which)
+    return render_grid(rep.dimension, rep.dimension, generator_entries(rep, i, which))
+
+
+@lru_cache(maxsize=_GRID_CACHE)
+def _kept_grid(shape: tuple[int, ...], i: int, which: str) -> str:
+    """generator_grid's grid, rendered once per shape, generator and i: at most
+    _GRID_CACHE grids of at most _GRID_DIMENSION ** 2 cells in one process.
+    The longest such grid, of u or t on (6, 1), has 5 813 characters.  An
+    index out of range is refused by generator_entries, on every request,
+    since lru_cache keeps no exception."""
+    rep = SeminormalRep(shape)
+    return render_grid(rep.dimension, rep.dimension, generator_entries(rep, i, which))
 
 
 def _generator(rep: SeminormalRep, i: int, which: str) -> QMatrix:

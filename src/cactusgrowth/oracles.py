@@ -137,9 +137,19 @@ class StandardTableau(_Tableau):
         raise ValueError(f"{value} not in tableau")
 
 
+def rows_from_string(text: str) -> tuple[tuple[int, ...], ...]:
+    """The rows of a '134/256' style tableau, one ASCII digit per entry; an
+    empty row is left for the tableau constructors to refuse."""
+    parts = text.split("/")
+    for part in parts:
+        if part and not (part.isascii() and part.isdigit()):
+            raise ValueError(f"tableau {text!r}: part {part!r} is not a row of digits")
+    return tuple(tuple(map(int, part)) for part in parts)
+
+
 def syt_from_string(text: str) -> StandardTableau:
     """Parse '134/256' style single-digit rows (test convenience)."""
-    return StandardTableau(tuple(tuple(int(ch) for ch in part) for part in text.split("/")))
+    return StandardTableau(rows_from_string(text))
 
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:

@@ -12,6 +12,7 @@ end, is the one table of suite bounds and acceptance budgets.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 from . import cactus as cact
@@ -205,7 +206,7 @@ def check_tau_presentation(r: int) -> SuiteReport:
     for name, ctx, kinds in standard_word_suites(r)[:2]:
         all_words = enumerate_hw_words(ctx, kinds)
         for (i, j, k), seq in tau_relators(r):
-            good = all(words.tau_word(w, seq * 2) == w for w in all_words)
+            good = all(reduce(words.tau, seq[::-1] * 2, w) == w for w in all_words)  # rightmost tau first
             rep.ok(good, f"{name}: (tau_{i} q_{k-1} q_{k-j} q_{k-1})^2 != 1")
     return rep
 

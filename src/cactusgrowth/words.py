@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import sub
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DEFAULT_SIZE_CAP, DomainError
 from .weights import (
@@ -299,13 +299,6 @@ def tau(w: HighestWeightWord, i: int) -> HighestWeightWord:
     return HighestWeightWord._trusted(w.context, s[:i - 1] + (s[i], s[i - 1]) + s[i + 1:], c[:i] + (mid,) + c[i + 1:])
 
 
-def tau_word(w: HighestWeightWord, indices: Iterable[int]) -> HighestWeightWord:
-    """Apply a sequence of local moves, rightmost entry first."""
-    for i in reversed(list(indices)):
-        w = tau(w, i)
-    return w
-
-
 def commutor_prefix(w: HighestWeightWord, split: int) -> HighestWeightWord:
     """Move the factor at position `split` past the whole suffix.
 
@@ -386,15 +379,13 @@ def json_text(context: CartanContext, steps: Sequence[StepKind], key: str, grid:
 
 def parse_step_kind(text: str) -> StepKind:
     t = text.strip()
-    if t == "vector":
-        return VECTOR
-    if t == "sl2":
-        return SL2_STEP
-    if t.startswith("exterior(") and t.endswith(")"):
-        return exterior(int(t[len("exterior("):-1]))
-    if t.startswith("exterior:"):
-        return exterior(int(t.split(":", 1)[1]))
-    raise ValueError(f"unknown step descriptor {text!r}")
+    if t in ("vector", "sl2"):
+        return VECTOR if t == "vector" else SL2_STEP
+    k = t[9:-1] if t[:9] == "exterior(" and t[-1:] == ")" else t[9:] if t[:9] == "exterior:" else ""
+    try:  # k as int() reads it
+        return exterior(int(k))
+    except ValueError:
+        raise ValueError(f"unknown step descriptor {text!r}") from None
 
 
 def syt_to_word(rows: Sequence[Sequence[int]], rank: Optional[int] = None) -> HighestWeightWord:

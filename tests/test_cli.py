@@ -219,9 +219,16 @@ def assert_one_line_exit_2(code, out, err):
     ["oracle", "evacuate", "--json", "[1]"],
     ["oracle", "bk", "--json", "[1]", "--i", "1"],
     ["oracle", "evacuate", "--json", "{}"],
+    # the one line must name the input that does not parse, not repeat int()'s own text
+    ["evacuate", "--json", json.dumps({"context": {"family": "GL", "rank": 2}, "steps": ["exterior:x", "vector"],
+                                       "corners": [[0, 0], [1, 1], [2, 1]]})],
+    ["crystal", "dump", "--family", "GL", "--rank", "2", "--kind", "exterior:x"],
+    ["oracle", "evacuate", "--tableau", "1 2/3"],
 ])
 def test_malformed_tableau_json_exit_2(capsys, argv):
-    assert_one_line_exit_2(*run(capsys, *argv))
+    code, out, err = run(capsys, *argv)
+    assert_one_line_exit_2(code, out, err)
+    assert "int()" not in err
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -411,6 +418,28 @@ def test_hecke_shape_that_is_not_a_partition(capsys):
             code, out, err = run(capsys, "hecke", sub, "--shape", shape)
             assert code == 2 and out == ""
             assert err.splitlines() == [f"parse error: shape {shape!r}: part {part!r} is not a decimal number"]
+
+
+def test_hecke_matrix_after_a_shapes_grids_are_kept(capsys):
+    """Once every grid of (3,2) is kept, --i 0 and --i 5 still exit 3 with one
+    line, and jm and sigma still print the basis line and their own matrix."""
+    from cactusgrowth import hecke
+
+    hecke._kept_grid.cache_clear()
+    argv = ["hecke", "matrix", "--shape", "3,2", "--op"]
+    for op in ("u", "t", "tau"):
+        for i in range(1, 5):
+            assert run(capsys, *argv, op, "--i", str(i))[0] == 0
+    for op in ("u", "t", "tau", "jm", "sigma"):
+        for i in (0, 5) if op != "jm" else (5,):
+            assert run(capsys, *argv, op, "--i", str(i)) == (
+                3, "", f"domain error: {'Jucys-Murphy' if op == 'jm' else 'generator'} index {i} out of range for r=5\n")
+    srep = hecke.SeminormalRep((3, 2))
+    assert hecke._kept_grid.cache_info().currsize == 12
+    for i in range(5):
+        assert run(capsys, *argv, "jm", "--i", str(i)) == (
+            0, f"{srep.table.basis_line}\n{hecke.jm_matrix(srep, i).pretty()}\n", "")
+    assert run(capsys, *argv, "sigma") == (0, f"{srep.table.basis_line}\n{hecke.sigma_vv(srep).pretty()}\n", "")
 
 
 def test_hecke_matrix_output_is_pinned_byte_for_byte(capsys):
@@ -630,6 +659,8 @@ PARSED = [
      {"max_size": -5, "cmd": "hecke", "hecke_cmd": "matrix", "shape": "2,1", "op": "tau", "i": 1}),
     (["verify", "all", "--tiny"],
      {"cmd": "verify", "suite": "all", "r": None, "maxsize": None, "tiny": True}),
+    (["verify", "--tiny", "cactus"],
+     {"cmd": "verify", "suite": "cactus", "r": None, "maxsize": None, "tiny": True}),
     (["verify", "--r", "5", "--maxsize", "7", "cactus"],
      {"cmd": "verify", "suite": "cactus", "r": 5, "maxsize": 7, "tiny": False}),
     (["verify", "hecke", "--tiny", "--r=3", "--maxsize", "-2"],
@@ -649,6 +680,7 @@ REFUSED = [
     (["demo", "-x"], "usage error: the following arguments are required: name"),
     (["act", "--word", "x", "--demo", "y", "extra"], "usage error: unrecognized arguments: extra"),
     (["verify", "all", "cactus"], "usage error: unrecognized arguments: cactus"),
+    (["evacuate", "--show-diagram", "x", "--demo", "y"], "usage error: unrecognized arguments: x"),
     (["--bogus", "act", "--word", "x", "--bogus2=3"], "usage error: unrecognized arguments: --bogus --bogus2=3"),
     (["act", "--format", "ascii", "--word", "x"], "usage error: unrecognized arguments: --format ascii"),
     (["verify", "all", "--tiny=1"], "usage error: argument --tiny: ignored explicit argument '1'"),

@@ -6,12 +6,16 @@ import pytest
 from cactusgrowth.cactus import CactusGen, CactusWord, admissible_pairs, s_to_tau
 from cactusgrowth.hecke import (
     IndexOutOfRange,
+    _GRID_CACHE,
+    _GRID_DIMENSION,
     _SHAPE_TABLE_CACHE,
     SeminormalRep,
     _coefficients,
     _content_vector,
+    _kept_grid,
     cactus_matrix,
     generator_entries,
+    generator_grid,
     jm_matrix,
     jm_word_product,
     sigma_vv,
@@ -24,7 +28,7 @@ from cactusgrowth.hecke import (
     u_matrix,
 )
 from cactusgrowth.oracles import StandardTableau, enumerate_syt, partitions_of, syt_from_string
-from cactusgrowth.qalgebra import LaurentPoly, QMatrix, RationalFunction, parse_rational, q_int
+from cactusgrowth.qalgebra import LaurentPoly, QMatrix, RationalFunction, parse_rational, q_int, render_grid
 from cactusgrowth.suites import check_hecke_shape, relation_words
 
 ONE = RationalFunction.one()
@@ -90,6 +94,43 @@ def test_representations_of_one_shape_share_one_table():
     assert SeminormalRep((2, 1, 0)).table is SeminormalRep([2, 1]).table
     # every shape with at most 8 boxes stays memoized
     assert shape_table.cache_info().maxsize == _SHAPE_TABLE_CACHE > sum(len(partitions_of(n)) for n in range(1, 9))
+
+
+def test_generator_grid_is_the_grid_rendered_afresh():
+    """On every shape with at most 6 boxes, generator_grid for u, t and tau at
+    each i is render_grid of generator_entries built afresh; a grid of
+    dimension at most _GRID_DIMENSION is kept, so a second request reads the
+    kept text, and an index out of range is refused every time and never kept."""
+    _kept_grid.cache_clear()
+    kept = 0
+    for n in range(1, 7):
+        for shape in partitions_of(n):
+            rep = SeminormalRep(shape)
+            small = rep.dimension <= _GRID_DIMENSION
+            for which in ("u", "t", "tau"):
+                for i in range(1, n):
+                    fresh = render_grid(rep.dimension, rep.dimension, generator_entries(rep, i, which))
+                    assert generator_grid(rep, i, which) == fresh
+                    assert (generator_grid(SeminormalRep(shape), i, which) is generator_grid(rep, i, which)) == small
+                for i in (0, n):
+                    for _ in range(2):
+                        with pytest.raises(IndexOutOfRange):
+                            generator_grid(rep, i, which)
+            kept += 3 * (n - 1) if small else 0
+            assert _kept_grid.cache_info().currsize == kept
+    assert kept <= _GRID_CACHE
+
+
+def test_a_grid_above_the_kept_dimension_is_not_kept():
+    """The kept grids are bounded in size, not only in number: a grid of a
+    larger representation is rendered on every request and never kept."""
+    _kept_grid.cache_clear()
+    rep = SeminormalRep((4, 2, 1))
+    assert rep.dimension > _GRID_DIMENSION
+    grid = generator_grid(rep, 1, "u")
+    assert grid == render_grid(rep.dimension, rep.dimension, generator_entries(rep, 1, "u"))
+    assert generator_grid(rep, 1, "u") is not grid
+    assert _kept_grid.cache_info().currsize == 0
 
 
 def test_a_zero_inside_a_shape_is_refused_and_trailing_zeros_are_dropped():

@@ -48,6 +48,14 @@ def test_standard_tableau_validation():
     assert StandardTableau(()).n == 0
 
 
+@pytest.mark.parametrize("text, part", [("1 2/3", "1 2"), ("12/3x", "3x"), ("1_2/3", "1_2"), ("12/-3", "-3"),
+                                        ("12/\u0663", "\u0663")])
+def test_a_tableau_string_names_the_part_that_is_not_digits(text, part):
+    with pytest.raises(ValueError) as info:
+        syt_from_string(text)
+    assert str(info.value) == f"tableau {text!r}: part {part!r} is not a row of digits"
+
+
 def test_semistandard_tableau_refuses_entries_below_one_and_empty_rows():
     for rows in (((0,),), ((-1,),), ((0, 1), (2,)), ((1,), ()), ((), ())):
         with pytest.raises(ValueError, match="nonempty, with entries >= 1"):

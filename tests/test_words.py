@@ -193,6 +193,13 @@ def test_step_kind_text_round_trip():
         assert parse_step_kind(str(kind)) == kind
 
 
+@pytest.mark.parametrize("text", ["exterior:x", "exterior()", "exterior:", "exterior(2.0)", "exterior(2", "vec"])
+def test_a_step_descriptor_that_does_not_parse_is_named(text):
+    with pytest.raises(ValueError) as info:
+        parse_step_kind(text)
+    assert str(info.value) == f"unknown step descriptor {text!r}"
+
+
 def test_complete_cell_gl2():
     mu = complete_cell(Weight(GL2, (1, 0)), Weight(GL2, (2, 0)), Weight(GL2, (2, 1)))
     assert mu.coords == (1, 1)
