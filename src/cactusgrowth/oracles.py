@@ -185,7 +185,7 @@ def count_syt(shape: Sequence[int]) -> int:
     return factorial(sum(parts)) // hooks
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # as hecke.shape_table: above the 66 shapes with at most 8 boxes
 def enumerate_syt(shape: tuple[int, ...]) -> tuple[StandardTableau, ...]:
     """All standard tableaux of a partition shape, grown box by box: the
     tableaux of each shape inside it with k boxes are those with k - 1 boxes

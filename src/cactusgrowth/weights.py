@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
+from operator import ge
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -122,12 +123,10 @@ def _same_context(a: Weight, b: Weight) -> None:
 
 
 def dominant(family: str, c: Sequence[int]) -> bool:
-    """Dominance of a coordinate tuple in the given family."""
+    """Dominance of a coordinate tuple in the given family, in one C-level pass."""
     if family == SL2:
         return c[0] >= 0
-    if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
-        return False
-    return family == GL or c[-1] >= 0
+    return all(map(ge, c, c[1:])) and (family == GL or c[-1] >= 0)
 
 
 def dom(family: str, c: Sequence[int]) -> tuple[int, ...]:
@@ -190,7 +189,7 @@ class Partition:
         parts = tuple(parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if not dominant(GL, parts):
             raise ValueError(f"{parts} is not weakly decreasing")
         if parts and parts[-1] < 0:
             raise ValueError(f"{parts} has negative parts")

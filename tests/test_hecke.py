@@ -96,6 +96,19 @@ def test_representations_of_one_shape_share_one_table():
     assert shape_table.cache_info().maxsize == _SHAPE_TABLE_CACHE > sum(len(partitions_of(n)) for n in range(1, 9))
 
 
+def test_shape_tables_past_the_bound_keep_no_more_bases():
+    """The basis each shape table sorts comes from enumerate_syt, whose
+    cache is bounded too, at the same bound (above the 66 shapes with at
+    most 8 boxes): shapes past it leave both caches full, not growing."""
+    shapes = [shape for n in range(1, 11) for shape in partitions_of(n)]
+    assert len(shapes) == 138 > _SHAPE_TABLE_CACHE
+    for shape in shapes:
+        shape_table(shape)
+    for cached in (shape_table, enumerate_syt):
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize == _SHAPE_TABLE_CACHE
+
+
 def test_generator_grid_is_the_grid_rendered_afresh():
     """On every shape with at most 6 boxes, generator_grid for u, t and tau at
     each i is render_grid of generator_entries built afresh; a grid of

@@ -1,12 +1,15 @@
+import re
 from itertools import product
 
 import pytest
 
+from cactusgrowth import weights
 from cactusgrowth.weights import (
     CartanContext,
     Partition,
     Weight,
     dom_w,
+    dominant,
     is_dominant,
     weyl_orbit,
 )
@@ -46,11 +49,38 @@ def test_dom_w_orbit_constant(ctx, bound):
         assert all(dom_w(Weight(ctx, o)) == d for o in weyl_orbit(ctx.family, coords))
 
 
+def reference_dominant(family, c):
+    """The index-by-index form that dominant replaced."""
+    if family == weights.SL2:
+        return c[0] >= 0
+    if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
+        return False
+    return family == weights.GL or c[-1] >= 0
+
+
+def test_dominant_matches_the_index_form_exhaustively():
+    cases = [(weights.SL2, c) for c in product(range(-3, 4), repeat=1)]
+    cases += [(family, c) for family in (weights.GL, weights.SP)
+              for n in range(1, 5) for c in product(range(-3, 4), repeat=n)]
+    assert len(cases) == 7 + 2 * (7 + 49 + 343 + 2401)
+    for family, c in cases:
+        expected = reference_dominant(family, c)
+        assert dominant(family, c) is expected, (family, c)
+        assert dominant(family, list(c)) is expected, (family, c)
+
+
 def test_partition_trailing_zeros():
     assert Partition([2, 1, 1, 0]) == Partition([2, 1, 1])
     assert Partition([2, 1, 1, 0]).padded(4) == (2, 1, 1, 0)
-    with pytest.raises(ValueError):
+    assert Partition((3, 0, 0)).parts == (3,)
+    assert Partition([0, 0]).parts == Partition().parts == ()
+    assert Partition([2, 2, 1]).parts == (2, 2, 1)
+    with pytest.raises(ValueError, match=re.escape("(1, 2) is not weakly decreasing")):
         Partition([1, 2])
+    with pytest.raises(ValueError, match=re.escape("(1, 2) is not weakly decreasing")):
+        Partition([1, 2, 0])
+    with pytest.raises(ValueError, match=re.escape("(2, -1) has negative parts")):
+        Partition([2, -1])
 
 
 def test_simple_roots():
