@@ -10,22 +10,20 @@ band of the window and local-rule completion supplies the rest.
 Rectangles, window validation and reconstruction, and the ASCII renderers
 are in windows, which `act` never loads.
 
-act_gen computes every s(p,q) in one pass: one triangle over the length-q
-prefix gives its column q, that column read upside down is the new row
-p-1, and an upward local-rule sweep over the band gives the new top row.
+act_gen computes every s(p,q) in one pass, a triangle and a band sweep;
 wall_cross reaches the same word through a cylindrical window and shares
 nothing with act_gen beyond the local rule, so it is the independent check.
-
 Corners are plain int tuples, and every cell is filled with
 weights.local_rule, which keeps words valid: evacuation, promotion_inverse
-and prefix_reversal build theirs unchecked; act_gen and promotion check.
+and prefix_reversal build theirs unchecked, act_gen re-checks only the
+steps it reversed and the corners it keeps, and promotion checks in full.
 Weight appears only in triangle_rows, whose rows the layer probe reads.
 """
 from __future__ import annotations
 
 from .cactus import CactusGen, CactusWord, act_word
 from .weights import CartanContext, Corner, Weight, local_rule
-from .words import HighestWeightWord, InvalidStep, StepKind
+from .words import HighestWeightWord, InvalidStep, StepKind, step_is_valid
 
 
 # -- triangular diagrams and evacuation --------------------------------------
@@ -84,7 +82,7 @@ def act_gen(g: CactusGen, w: HighestWeightWord) -> HighestWeightWord:
     it is completed right to left by the local rule, with gamma'(k, k) = 0
     and gamma'(k, q) = gamma(k, q).  The new top row, followed by the
     unchanged corners beyond q, is the image; for p = 1 it is the
-    evacuation of the prefix.  Only that final word is built and checked.
+    evacuation of the prefix; its reversed steps and corners 0..p-1 are checked.
     """
     p, q = g.p, g.q
     c = w.corners
@@ -104,7 +102,13 @@ def act_gen(g: CactusGen, w: HighestWeightWord) -> HighestWeightWord:
             row[j] = local_rule(fam, below[j], below[j + 1], row[j + 1])
         below = row
     steps = w.steps[: p - 1] + w.steps[p - 1: q][::-1] + w.steps[q:]
-    return HighestWeightWord(w.context, steps, tuple(below) + c[q + 1:])
+    corners = tuple(below[:q]) + c[q:]  # below[q] is c[q]: from q on, the input's own
+    if corners[:p] != c[:p]:
+        raise InvalidStep(f"{g} moved one of the corners 0..{p - 1} of {w}")
+    for k in range(p - 1, q):
+        if not step_is_valid(w.context, steps[k], corners[k], corners[k + 1]):
+            return HighestWeightWord(w.context, steps, corners)  # raises at the first bad step
+    return HighestWeightWord._trusted(w.context, steps, corners)
 
 
 def act(g: CactusWord, w: HighestWeightWord) -> HighestWeightWord:
@@ -121,9 +125,7 @@ def promotion(w: HighestWeightWord) -> HighestWeightWord:
     """Bottom edge of the two-row growth diagram with top edge w.
 
     Equals the action of s(1,r) s(2,r); the factor sequence rotates one
-    step to the left.  The output is checked, as act_gen's: wall_cross builds
-    windows by promotion on every pass of the cactus_tables benchmark, whose
-    memory grows with the operations it times (ROADMAP items 1(b) and 3).
+    step to the left.  The output is checked in full (ROADMAP item 3).
     """
     r, c = w.r, w.corners
     if r == 0:

@@ -13,12 +13,10 @@ rule: weights.local_rule with both new steps checked.  Weight appears only
 in complete_cell, the wrapper of fill_cell that the benchmark's layer probe
 calls.
 
-A word is validated once, where it comes in: word_from_corners and
-word_from_json without explicit steps check it in one loop (_read_corners)
-and build it with HighestWeightWord._trusted.  The words that enumeration,
-tau, evacuation, promotion_inverse and prefix reversal output are valid by
-construction and built the same way.  The outputs of growth.act_gen and
-promotion, the public constructor and explicit steps are checked in full.
+A word is validated once, where it comes in: corner-only input in one loop
+(_read_corners), built with HighestWeightWord._trusted like the words that
+enumeration, tau and growth output (growth.act_gen re-checks what it moved).
+growth.promotion, the public constructor and explicit steps check in full.
 """
 from __future__ import annotations
 

@@ -532,9 +532,10 @@ def test_word_command_outputs_are_pinned_byte_for_byte(capsys):
 
 
 def test_word_commands_validate_only_their_input(capsys, monkeypatch):
-    """The word a request reads is checked in one pass, and every word
-    evacuate and tau build from it is built unchecked.  promote and cylinder
-    still check what promotion builds (see growth.promotion)."""
+    """The word a request reads is checked in one pass, every word evacuate
+    and tau build from it is built unchecked, and act checks only the steps
+    each s(p,q) reversed.  promote and cylinder still check what promotion
+    builds (see growth.promotion)."""
     from cactusgrowth import words
 
     sources = [{"context": {"family": "GL", "rank": 3}, "corners": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [2, 1, 0],
@@ -544,7 +545,10 @@ def test_word_commands_validate_only_their_input(capsys, monkeypatch):
                                                                      [3, 2, 1, 0], [3, 2, 1, 1], [4, 3, 1, 1]]}]
     requests = [[*fmt, *command, "--json", json.dumps(source)] for source in sources
                 for fmt in ([], ["--format", "ascii"])
-                for command in (["evacuate"], ["tau", "--i", "2"])]
+                for command in (["evacuate"], ["tau", "--i", "2"],
+                                *(["act", "--word", f"s({p},{q})"] for q in range(2, len(source["corners"]))
+                                  for p in range(1, q)))]
+    assert len(requests) == 2 * (2 * 3 + 15 + 10 + 10)
     expected = [run(capsys, *argv) for argv in requests]
     assert all(code == 0 for code, _, _ in expected)
 
@@ -553,6 +557,22 @@ def test_word_commands_validate_only_their_input(capsys, monkeypatch):
 
     monkeypatch.setattr(words.HighestWeightWord, "__init__", second_validation)
     assert [run(capsys, *argv) for argv in requests] == expected
+
+
+def test_act_refuses_a_wrong_image_in_one_line(capsys, monkeypatch):
+    # every local-rule result off by one in its first part: the reversed
+    # step out of the kept corner 1 breaks, and the request exits 3 with one line
+    real = growth_module.local_rule
+
+    def off_by_one(*args):
+        mu = real(*args)
+        return (mu[0] + 1,) + mu[1:]
+
+    monkeypatch.setattr(growth_module, "local_rule", off_by_one)
+    word = '{"context": {"family": "GL", "rank": 2}, "corners": [[0, 0], [1, 0], [2, 0], [2, 1], [2, 2]]}'
+    code, out, err = run(capsys, "act", "--word", "s(2,4)", "--json", word)
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.splitlines() == ["domain error: corner 1: [1,0] -> [3,1] is not a valid vector step"]
 
 
 def test_cylinder_depth_over_the_size_cap(capsys):

@@ -4,9 +4,11 @@ from collections import Counter
 import pytest
 
 from cactusgrowth.cactus import CactusGen, CactusWord, parse_cactus_word, reduce_to_s1q, word as cword
+import cactusgrowth.growth as growth
 from cactusgrowth.growth import (
     CylWindow,
     act,
+    act_gen,
     build_cylinder,
     evacuation,
     promotion,
@@ -17,11 +19,12 @@ from cactusgrowth.growth import (
 )
 from cactusgrowth.windows import BadPath, complete_rectangle, cylinder_from_path, render_window_ascii, validate_window
 from cactusgrowth.oracles import enumerate_syt, evacuation_oracle, partitions_of, promotion_oracle, syt_from_string
-from cactusgrowth.weights import CartanContext, dominant
+from cactusgrowth.weights import CartanContext, dominant, local_rule
 from cactusgrowth.words import (
     SL2_STEP,
     VECTOR,
     HighestWeightWord,
+    InvalidStep,
     cell_is_valid,
     enumerate_hw_words,
     exterior,
@@ -428,19 +431,58 @@ def _every_small_word():
 
 def test_trusted_outputs_pass_the_checked_constructor_exhaustive():
     """evacuation, promotion_inverse, prefix_reversal (and the prefix it
-    evacuates) and tau build their words unchecked, and promotion may too
-    once the benchmark allows it: the checked constructor accepts the steps
-    and corners of each output and rebuilds it."""
-    seen = 0
+    evacuates) and tau build their words unchecked, act_gen checks only the
+    steps it reversed, and promotion may go unchecked too once the benchmark
+    allows it: the checked constructor accepts the steps and corners of each
+    output and rebuilds it.  Beyond q, act_gen's image holds w's own corners.
+    Each distinct output is rebuilt once."""
+    seen, source = 0, {}  # output -> the first word it came from
     for w in _every_small_word():
         outputs = [evacuation(w), promotion(w), promotion_inverse(w)]
         for q in range(2, w.r + 1):
             outputs += [HighestWeightWord(w.context, w.steps[:q], w.corners[:q + 1]), prefix_reversal(w, q)]
+            for p in range(1, q):
+                out = act_gen(CactusGen(p, q), w)
+                assert all(a is b for a, b in zip(out.corners[q:], w.corners[q:])), (p, q, w)
+                outputs.append(out)
         outputs += [tau(w, i) for i in range(1, w.r)]
         for out in outputs:
-            assert HighestWeightWord(out.context, out.steps, out.corners) == out, (w, out)
+            source.setdefault(out, w)
         seen += 1
     assert seen == 1851
+    for out, w in source.items():
+        assert HighestWeightWord(out.context, out.steps, out.corners) == out, (w, out)
+
+
+def _act_with_last_cell_replaced(monkeypatch, g, w, bad):
+    """act_gen(g, w) with the result of its last local-rule call replaced by
+    `bad`.  That call fills corner 1 of the image: a reversed corner for p = 1,
+    a kept corner for p >= 2."""
+    calls, last = [], None
+
+    def replacing(*args):
+        calls.append(args)
+        return bad if len(calls) == last else local_rule(*args)
+
+    monkeypatch.setattr(growth, "local_rule", replacing)
+    act_gen(g, w)  # counts the calls
+    last, calls[:] = len(calls), []
+    return act_gen(g, w)
+
+
+def test_act_gen_refuses_a_planted_wrong_corner(monkeypatch):
+    # s(1,2) reverses both steps: (0,0,0) -> (1,1,0) -> (2,1,0); a wrong
+    # (2,0,0) still steps validly to (2,1,0), so only the reversed step from
+    # the kept corner 0 (step p-1) shows it
+    w = word_from_corners(GL3, [(0, 0, 0), (1, 0, 0), (2, 1, 0)])
+    assert act_gen(CactusGen(1, 2), w).corners[1] == (1, 1, 0)
+    with pytest.raises(InvalidStep, match=r"^corner 0: \[0,0,0\] -> \[2,0,0\] is not a valid exterior\(2\) step$"):
+        _act_with_last_cell_replaced(monkeypatch, CactusGen(1, 2), w, (2, 0, 0))
+    # s(2,3) keeps corner 1; any other corner there is a moved kept corner
+    w = word_from_corners(GL2, [(0, 0), (1, 0), (2, 0), (2, 1)])
+    assert act_gen(CactusGen(2, 3), w).corners[1] == (1, 0)
+    with pytest.raises(InvalidStep, match=r"^s\(2,3\) moved one of the corners 0\.\.1 of "):
+        _act_with_last_cell_replaced(monkeypatch, CactusGen(2, 3), w, (0, 1))
 
 
 def test_act_equals_prefix_reversal_fold_exhaustive():
