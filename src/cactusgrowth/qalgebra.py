@@ -1,11 +1,13 @@
 """Exact arithmetic in Laurent polynomials and rational functions of q.
 
-Laurent polynomials are stored as sparse integer coefficient maps
-{exponent: coefficient}; coefficients are arbitrary-precision Python ints
-and zero coefficients are never stored.  Rational functions keep an
-integer Laurent numerator over a genuine polynomial denominator with
-nonzero constant term, reduced and sign-normalized, so equality is exact
-and structural.
+A Laurent polynomial q^shift * f(q) is stored in its one canonical dense
+form: the shift and the tuple of f's arbitrary-precision int coefficients,
+low to high, whose first and last entries are nonzero (zero is shift 0 and
+the empty tuple).  A product is one convolution, a sum aligns two shifts,
+and reduction reads the stored tuples with no conversion.  Rational
+functions keep an integer Laurent numerator over a genuine polynomial
+denominator with nonzero constant term, reduced and sign-normalized, so
+equality is exact and structural.
 
 Every computation stays in Z[q]: reduction divides numerator and
 denominator by their primitive gcd using integer long division, which is
@@ -20,6 +22,7 @@ True
 from __future__ import annotations
 
 from math import gcd
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError
@@ -38,101 +41,113 @@ class ParseError(ValueError):
 
 
 class LaurentPoly:
-    """An integer Laurent polynomial in q."""
+    """An integer Laurent polynomial q^shift * (c_0 + c_1 q + ... + c_k q^k), stored as (shift,
+    coeffs) with c_0 and c_k nonzero; zero is (0, ()).  Equality compares the stored forms."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_shift", "_coeffs")
 
     def __init__(self, coeffs: Union[Mapping[int, int], str, int, None] = None):
-        if coeffs is None:
-            self._c: dict[int, int] = {}
-        elif isinstance(coeffs, str):
-            self._c = dict(parse_laurent(coeffs)._c)
+        if isinstance(coeffs, str):
+            coeffs = parse_laurent(coeffs)
         elif isinstance(coeffs, int):
-            self._c = {0: coeffs} if coeffs else {}
-        else:
-            self._c = {e: c for e, c in coeffs.items() if c != 0}
+            coeffs = {0: coeffs}
+        terms = {e: c for e, c in (coeffs or {}).items() if c}
+        self._shift = lo = min(terms, default=0)
+        self._coeffs = tuple(terms.get(e, 0) for e in range(lo, max(terms, default=-1) + 1))
+
+    @classmethod
+    def _trusted(cls, shift: int, coeffs: tuple[int, ...]) -> "LaurentPoly":
+        """A polynomial from a stored form already known canonical, built without the checks."""
+        p = object.__new__(cls)
+        p._shift, p._coeffs = shift, coeffs
+        return p
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly()
+        return LaurentPoly._trusted(0, ())
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
+        return LaurentPoly._trusted(0, (1,))
 
     @staticmethod
     def q(exp: int = 1, coeff: int = 1) -> "LaurentPoly":
         return LaurentPoly({exp: coeff})
 
     def items(self) -> Iterable[tuple[int, int]]:
-        return self._c.items()
+        return [(self._shift + i, c) for i, c in enumerate(self._coeffs) if c]
 
     def coeff(self, exp: int) -> int:
-        return self._c.get(exp, 0)
+        i = exp - self._shift
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._coeffs
 
     def degree(self) -> int:
-        if not self._c:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no degree")
-        return max(self._c)
+        return self._shift + len(self._coeffs) - 1
 
     def valuation(self) -> int:
-        if not self._c:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no valuation")
-        return min(self._c)
+        return self._shift
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self._c)
-        for e, c in other._c.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        return _combine(self, other, add)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self._c)
-        for e, c in other._c.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
+        return _combine(self, other, sub)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._c.items()})
+        return LaurentPoly._trusted(self._shift, tuple(map(neg, self._coeffs)))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self._c.items():
-            for e2, c2 in other._c.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of a Laurent polynomial are not rational-free; use RationalFunction")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        # one convolution; the product of the nonzero end coefficients is nonzero, so no trim
+        a, b = self._coeffs, other._coeffs
+        if not (a and b):
+            return LaurentPoly.zero()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return LaurentPoly._trusted(self._shift + other._shift, tuple(out))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
-            return self._c == other._c
+            return self._shift == other._shift and self._coeffs == other._coeffs
         if isinstance(other, int):
-            return self._c == ({0: other} if other else {})
+            return self == LaurentPoly(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
+        return hash((self._shift, self._coeffs))
 
     def __str__(self) -> str:
         return render_laurent(self)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({render_laurent(self)!r})"
+
+
+def _combine(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
+    """a + b or a - b: both stored forms aligned on one exponent range, then trimmed at both ends."""
+    lo = min(a._shift, b._shift)
+    hi = max(a._shift + len(a._coeffs), b._shift + len(b._coeffs))
+    f = list(map(op, _padded(a, lo, hi), _padded(b, lo, hi)))
+    top = len(f)
+    while top and not f[top - 1]:
+        top -= 1
+    bottom = 0
+    while bottom < top and not f[bottom]:
+        bottom += 1
+    return LaurentPoly._trusted(lo + bottom if top else 0, tuple(f[bottom:top]))
+
+
+def _padded(p: LaurentPoly, lo: int, hi: int) -> tuple[int, ...]:
+    return (0,) * (p._shift - lo) + p._coeffs + (0,) * (hi - p._shift - len(p._coeffs))
 
 
 def q_int(n: int) -> LaurentPoly:
@@ -147,26 +162,13 @@ def q_int(n: int) -> LaurentPoly:
     """
     if n < 0:
         return -q_int(-n)
-    return LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)})
+    return LaurentPoly._trusted(1 - n, (1, 0) * (n - 1) + (1,)) if n else LaurentPoly.zero()
 
 
 # -- dense integer polynomial helpers (gcd and exact division in Z[q]) -----
 #
-# A dense polynomial is a list of int coefficients low-to-high with a
-# nonzero last entry; [] is zero.
-
-
-def _to_dense(p: LaurentPoly) -> tuple[int, list[int]]:
-    """Split p = q^shift * f with f a polynomial, f(0) != 0."""
-    if p.is_zero():
-        return 0, []
-    v = p.valuation()
-    d = p.degree()
-    return v, [p.coeff(e) for e in range(v, d + 1)]
-
-
-def _from_dense(shift: int, f: list[int]) -> LaurentPoly:
-    return LaurentPoly({shift + i: c for i, c in enumerate(f) if c != 0})
+# A dense polynomial is a list or tuple of int coefficients low-to-high
+# with a nonzero last entry; [] is zero.  A LaurentPoly's coeffs are one such.
 
 
 def _dense_trim(f: list[int]) -> list[int]:
@@ -201,12 +203,10 @@ def _dense_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
 
 def _dense_gcd(a: list[int], b: list[int]) -> list[int]:
     """Primitive gcd in Z[q], positive leading coefficient; represents gcd in Q[q]."""
-    a = _dense_primitive(_dense_trim(list(a)))
-    b = _dense_primitive(_dense_trim(list(b)))
+    a, b = _dense_primitive(a), _dense_primitive(b)
     while b:
-        r = _dense_pseudo_rem(a, b)
-        a, b = b, _dense_primitive(r)
-    return a if a else []
+        a, b = b, _dense_primitive(_dense_pseudo_rem(a, b))
+    return list(a)
 
 
 def _dense_exact_div(a: list[int], b: list[int]) -> list[int]:
@@ -297,18 +297,6 @@ class RationalFunction:
             raise DivisionByZero("inverse of zero")
         return RationalFunction(self.den, self.num)
 
-    def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = RationalFunction.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalFunction):
             return self.num == other.num and self.den == other.den
@@ -331,20 +319,18 @@ class RationalFunction:
 def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     if num.is_zero():
         return LaurentPoly.zero(), LaurentPoly.one()
-    vn, fn = _to_dense(num)
-    vd, fd = _to_dense(den)
+    fn, fd = num._coeffs, den._coeffs
     g = _dense_gcd(fn, fd)
-    if len(g) > 1 or (g and g[0] != 1):
+    if len(g) > 1 or g[0] != 1:
         fn = _dense_exact_div(fn, g)
         fd = _dense_exact_div(fd, g)
     cg = gcd(*fn, *fd)
-    if cg > 1:
+    if fd[-1] < 0:
+        cg = -cg
+    if cg != 1:
         fn = [c // cg for c in fn]
         fd = [c // cg for c in fd]
-    if fd[-1] < 0:
-        fn = [-c for c in fn]
-        fd = [-c for c in fd]
-    return _from_dense(vn - vd, fn), _from_dense(0, fd)
+    return LaurentPoly._trusted(num._shift - den._shift, tuple(fn)), LaurentPoly._trusted(0, tuple(fd))
 
 
 class QMatrix:
@@ -442,8 +428,9 @@ def render_laurent(p: LaurentPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for e in sorted(p._c, reverse=True):
-        c = p._c[e]
+    for e, c in zip(range(p.degree(), p._shift - 1, -1), reversed(p._coeffs)):
+        if not c:
+            continue
         mag = abs(c)
         if e == 0:
             body = str(mag)
@@ -458,7 +445,7 @@ def render_laurent(p: LaurentPoly) -> str:
 
 
 def render_rational(r: RationalFunction) -> str:
-    if r.den._c == {0: 1}:
+    if r.den._coeffs == (1,):  # a canonical denominator has shift 0
         return render_laurent(r.num)
     return f"({render_laurent(r.num)}) / ({render_laurent(r.den)})"
 

@@ -7,6 +7,7 @@ import pytest
 
 from cactusgrowth.cactus import CactusGen, CactusWord
 from cactusgrowth.oracles import Matching, SemistandardTableau, StandardTableau
+from cactusgrowth.qalgebra import LaurentPoly
 from cactusgrowth.weights import CartanContext, Partition, Weight
 from cactusgrowth.words import VECTOR, HighestWeightWord, StepKind
 
@@ -23,6 +24,7 @@ MAKERS = {
     "StandardTableau": lambda: StandardTableau([[1, 2], [3]]),
     "SemistandardTableau": lambda: SemistandardTableau([[1, 1], [2]]),
     "Matching": lambda: Matching(4, [(3, 4), (1, 2)]),
+    "LaurentPoly": lambda: LaurentPoly({2: 1, 0: 3}),
 }
 
 
