@@ -62,15 +62,6 @@ class CactusWord:
     def __hash__(self):
         return hash((self.r, self.gens))
 
-    def __mul__(self, other: "CactusWord") -> "CactusWord":
-        if self.r != other.r:
-            raise ValueError("strand counts differ")
-        return CactusWord(self.r, self.gens + other.gens)
-
-    def inverse(self) -> "CactusWord":
-        # every generator is an involution, so reverse the word
-        return CactusWord(self.r, tuple(reversed(self.gens)))
-
     def __str__(self) -> str:
         return " ".join(str(g) for g in self.gens) if self.gens else "e"
 

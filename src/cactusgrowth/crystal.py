@@ -10,10 +10,9 @@ Tensor products follow the rule e_i(x (x) y) = e_i(x) (x) y when phi_i(x)
 >= eps_i(y), else x (x) e_i(y), with eps_i(x (x) y) = eps_i(x) + max(0,
 eps_i(y) - phi_i(x)) and phi_i(x (x) y) = phi_i(y) + max(0, phi_i(x) -
 eps_i(y)).  A product of two crystals is again a crystal, so tensor fills
-its tables by these rules and skips validation.  Constructors cover the
-minuscule crystals used by the local rules: GL(n) exterior powers of the
-vector representation, the SL2 doublet, and the Sp(2n) vector
-representation.
+its tables by these rules and skips validation.  build_minuscule grows the
+crystal of every minuscule factor (GL(n) exterior powers, the Sp(2n)
+vector, the SL2 doublet) from its highest weight by one rule.
 
 The component census of B^r (decompose) does not build B^r.  By the same
 rule, x (x) b is highest weight exactly when x is and eps_i(b) <= phi_i(x)
@@ -24,12 +23,13 @@ the built power and is the reference that check_crystal compares against.
 """
 from __future__ import annotations
 
-from itertools import combinations
-from operator import add, sub
+from itertools import compress
+from operator import add, gt, sub
 from typing import Iterable, Optional
 
 from .errors import DEFAULT_SIZE_CAP, DomainError, SizeLimit
-from .weights import GL, SL2, SP, CartanContext, ContextMismatch, weyl_orbit
+from .weights import GL, SL2, CartanContext, ContextMismatch, weyl_orbit
+from .words import StepKind
 
 
 class CyclicGraph(ValueError):
@@ -368,57 +368,51 @@ def _exact_size(wt: tuple[int, ...], num: int, den: int) -> int:
 
 
 def build_minuscule(context: CartanContext, which: str, k: int = 1, size_cap: int = DEFAULT_SIZE_CAP) -> Crystal:
-    """Constructors for the supported minuscule crystals.
-
-    which: 'vector' (GL(n) or Sp(2n)), 'exterior' with 1 <= k <= n (GL(n)),
-    or 'sl2' (the two-element SL2 crystal).  Refused before anything is
-    built when |B| x rank exceeds size_cap, |B| being C(n, k), 2n or 2.
+    """The crystal of the minuscule factor StepKind(which, k), grown from its
+    highest weight (StepKind.fundamental_weight) by f_i x = x - alpha_i
+    exactly where <x, alpha_i^vee> = 1.  Elements are the weights in
+    descending order, labelled by their signed nonzero positions ("13", "2",
+    "-2"; SL2's "+" and "-").  Refused before anything is built when
+    |B| x rank exceeds size_cap, |B| being C(n, k) for GL(n) and 2n otherwise.
     """
-    fam = context.family
+    try:
+        top = StepKind(which, k).fundamental_weight(context)
+    except ValueError as exc:  # an unknown kind, or InvalidStep
+        raise BadParameter(str(exc)) from None
     n = context.rank
-    if which == "sl2" or fam == SL2:
-        if fam != SL2 or which not in ("sl2", "vector"):
-            raise BadParameter(f"{which!r} needs an SL2 context")
-        _check_size(context, 2, size_cap)
-        return Crystal(context, ("+", "-"), {1: {1: 0}}, ((1,), (-1,)))
-    if fam == GL and which == "vector":
-        which, k = "exterior", 1
-    if fam == GL and which == "exterior":
-        if not 0 <= k <= n:
-            raise BadParameter(f"exterior power k={k} out of range for GL({n})")
+    if context.family == GL:
+        k = sum(top)
         m = min(k, n - k)
         size = 1  # C(n - m + j, j) for j = 1..m ends at C(n, k); it only grows, so stop once over the cap
         for j in range(1, m + 1):
             if size * n > size_cap:
                 break
             size = size * (n - m + j) // j
-        _check_size(context, size, size_cap)
-        subsets = list(combinations(range(1, n + 1), k))
-        index = {s: j for j, s in enumerate(subsets)}
-        labels = ["".join(str(a) for a in s) for s in subsets]
-        wts = [tuple(1 if a in s else 0 for a in range(1, n + 1)) for s in subsets]
-        e_maps: dict[int, dict[int, int]] = {}
-        for i in context.index_set():
-            m = {}
-            for s in subsets:
-                if i + 1 in s and i not in s:
-                    t = tuple(sorted(set(s) - {i + 1} | {i}))
-                    m[index[s]] = index[t]
-            e_maps[i] = m
-        return Crystal(context, labels, e_maps, wts)
-    if fam == SP and which == "vector":
-        _check_size(context, 2 * n, size_cap)
-        labels = [str(a) for a in range(1, n + 1)] + [f"-{a}" for a in range(n, 0, -1)]
-        wts = [tuple(1 if b == a else 0 for b in range(1, n + 1)) for a in range(1, n + 1)]
-        wts += [tuple(-1 if b == a else 0 for b in range(1, n + 1)) for a in range(n, 0, -1)]
-        e_maps = {i: {} for i in context.index_set()}
-        for a in range(1, n):
-            e_maps[a][a] = a - 1
-        e_maps[n][n] = n - 1
-        for a in range(n - 1, 0, -1):
-            e_maps[a][2 * n - a] = 2 * n - a - 1
-        return Crystal(context, labels, e_maps, wts)
-    raise BadParameter(f"no minuscule constructor for {which!r} in {context}")
+    else:
+        size = 2 * n
+    _check_size(context, size, size_cap)
+    # <x, alpha_i^vee> is -1, 0 or 1 on a minuscule orbit, so 1 where x_i > x_(i+1), and f_i swaps
+    # the two; at node n of Sp and SL2 it is x_n, and f_n negates x_n: the swap with x_(n+1) = -x_n
+    nodes, signed = context.index_set(), context.family != GL
+    grown, seen, edges = [top], {top}, []
+    for x in grown:  # each weight once
+        z = x + (-x[-1],) if signed else x
+        for i in compress(nodes, map(gt, z, z[1:])):
+            y = (z[:i - 1] + (z[i], z[i - 1]) + z[i + 1:])[:n]
+            edges.append((i, y, x))
+            if y not in seen:
+                seen.add(y)
+                grown.append(y)
+    grown.sort(reverse=True)
+    index = {x: j for j, x in enumerate(grown)}
+    e_maps: dict[int, dict[int, int]] = {i: {} for i in nodes}
+    for i, y, x in edges:
+        e_maps[i][index[y]] = index[x]
+    if context.family == SL2:
+        labels = ["+" if x[0] > 0 else "-" for x in grown]
+    else:
+        labels = ["".join([str(a) if x[a - 1] > 0 else f"-{a}" for a in compress(range(1, n + 1), x)]) for x in grown]
+    return Crystal(context, labels, e_maps, grown)
 
 
 def crystal_to_json(c: Crystal) -> dict:

@@ -398,13 +398,12 @@ def check_crystal(r_max: int, catalan_r: int) -> SuiteReport:
         power = crys.tensor_power(gl2, r)
         for x in range(power.n):
             target = power.rectify(x)
-            got = _rectify_via_rectangle(gl2, power, r, x)
-            rep.ok(got == tuple(_letters_path(gl2, power, r, target)[1:]),
+            got = _rectify_via_rectangle(gl2, r, x)
+            rep.ok(got == tuple(_letters_path(gl2, r, target)[1:]),
                    f"GL(2) r={r}: rectangle rectify disagrees at {x}")
     # tensor associativity on labelled graphs
-    for c in (gl2, sl2):
+    for c in (gl2, sl2, gl3):
         rep.ok(_associativity_holds(c), f"associativity fails for {c}")
-    rep.ok(_associativity_holds(gl3, max_size=64), "associativity fails for GL(3)")
     # built crystals have Weyl-transitive weight sets
     sp4 = crys.build_minuscule(CartanContext(SP, 2), "vector")
     wedge = crys.build_minuscule(CartanContext(GL, 4), "exterior", 2)
@@ -436,7 +435,7 @@ def check_crystal(r_max: int, catalan_r: int) -> SuiteReport:
     return rep
 
 
-def _letters_path(base: crys.Crystal, power: crys.Crystal, r: int, x: int) -> list[tuple[int, ...]]:
+def _letters_path(base: crys.Crystal, r: int, x: int) -> list[tuple[int, ...]]:
     """Partial-weight corner path of a pure tensor element (base-n digits)."""
     digits = []
     idx = x
@@ -450,23 +449,19 @@ def _letters_path(base: crys.Crystal, power: crys.Crystal, r: int, x: int) -> li
     return path
 
 
-def _rectify_via_rectangle(base: crys.Crystal, power: crys.Crystal, r: int, x: int):
+def _rectify_via_rectangle(base: crys.Crystal, r: int, x: int):
     """Rectify an arbitrary pure tensor through a rectangular diagram with a
     single-row highest-weight padding word on the left."""
     ctx = base.context
-    m = r
-    left = words.word_from_corners(ctx, [(k,) + (0,) * (ctx.rank - 1) for k in range(m + 1)])
+    left = words.word_from_corners(ctx, [(k,) + (0,) * (ctx.rank - 1) for k in range(r + 1)])
     base_point = left.corners[-1]
-    path = _letters_path(base, power, r, x)
+    path = _letters_path(base, r, x)
     top = [tuple(a + b for a, b in zip(base_point, c)) for c in path]
     return windows.complete_rectangle(ctx, top, left.corners).bottom_row()[1:]
 
 
-def _associativity_holds(c: crys.Crystal, max_size: int | None = None) -> bool:
-    ab = crys.tensor(c, c)
-    if max_size and ab.n * c.n > max_size:
-        return True
-    left = crys.tensor(ab, c)
+def _associativity_holds(c: crys.Crystal) -> bool:
+    left = crys.tensor(crys.tensor(c, c), c)
     right = crys.tensor(c, crys.tensor(c, c))
     if left.n != right.n:
         return False
@@ -492,7 +487,7 @@ def check_morphism() -> SuiteReport:
         weight_to_letter = {w: i for i, w in enumerate(base.weights)}
         word_to_element = {}
         for x in power.highest_weight_elements():
-            path = _letters_path(base, power, r, x)
+            path = _letters_path(base, r, x)
             word_to_element[tuple(path)] = x
         for i in range(1, r):
             mapping = _morphism_from_tau(base, power, r, i, word_to_element, weight_to_letter)

@@ -1,15 +1,17 @@
 """Weights, dominance, and the partition type for the supported Cartan families.
 
-Three families are supported: GL(n) with integer-vector weights, SL2 with a
-single integer coordinate <wt, alpha_check>, and Sp(2n) with weights in the
-standard epsilon-coordinate lattice.  dom picks the dominant representative
-of a Weyl orbit: sort for GL, absolute value for SL2, absolute values then
-sort for Sp.  Corners are plain int tuples: dom, dominant, local_rule and
-weyl_orbit are what every internal path computes with.  Weight (with its
-+ and -), CartanContext.weight, dom_w and is_dominant remain only because
-the benchmark's layer probes call Weight, dom_w and is_dominant.  Partition
-is the checked partition type of the public edges; the tableau oracles,
-with conjugate and the strip tests, run on int tuples in oracles.
+Three families are supported: GL(n) with integer-vector weights, Sp(2n)
+with weights in the standard epsilon-coordinate lattice, and SL2, which is
+Sp(2) in every formula here: its one coordinate is <wt, alpha_check> and
+its simple root is (2,).  SL2 keeps its own family tag, name and rank-1
+check.  dom picks the dominant representative of a Weyl orbit: sort for
+GL, absolute values then sort for Sp and SL2.  Corners are plain int
+tuples: dom, dominant, local_rule and weyl_orbit are what every internal
+path computes with.  Weight (with its + and -), CartanContext.weight,
+dom_w and is_dominant remain only because the benchmark's layer probes
+call Weight, dom_w and is_dominant.  Partition is the checked partition
+type of the public edges; the tableau oracles, with conjugate and the
+strip tests, run on int tuples in oracles.
 """
 from __future__ import annotations
 
@@ -57,21 +59,15 @@ class CartanContext:
         return hash((self.family, self.rank))
 
     def index_set(self) -> range:
-        """Dynkin node labels: 1..n-1 for GL(n), 1..n for Sp(2n), {1} for SL2."""
-        if self.family == GL:
-            return range(1, self.rank)
-        if self.family == SP:
-            return range(1, self.rank + 1)
-        return range(1, 2)
+        """Dynkin node labels: 1..n-1 for GL(n), 1..n for Sp(2n) and SL2."""
+        return range(1, self.rank if self.family == GL else self.rank + 1)
 
     def simple_root(self, i: int) -> tuple[int, ...]:
         n = self.rank
         if i not in self.index_set():
             raise ValueError(f"node {i} not in index set of {self}")
-        if self.family == SL2:
-            return (2,)
         coords = [0] * n
-        if self.family == SP and i == n:
+        if i == n:  # Sp's long root 2 e_n (SL2's (2,)); GL has no node n
             coords[n - 1] = 2
         else:
             coords[i - 1] = 1
@@ -124,8 +120,6 @@ def _same_context(a: Weight, b: Weight) -> None:
 
 def dominant(family: str, c: Sequence[int]) -> bool:
     """Dominance of a coordinate tuple in the given family, in one C-level pass."""
-    if family == SL2:
-        return c[0] >= 0
     return all(map(ge, c, c[1:])) and (family == GL or c[-1] >= 0)
 
 
@@ -133,8 +127,6 @@ def dom(family: str, c: Sequence[int]) -> tuple[int, ...]:
     """The dominant representative of the Weyl orbit of a coordinate tuple."""
     if family == GL:
         return tuple(sorted(c, reverse=True))
-    if family == SL2:
-        return (abs(c[0]),)
     return tuple(sorted((abs(x) for x in c), reverse=True))
 
 
@@ -171,8 +163,6 @@ def weyl_orbit(family: str, c: Sequence[int]) -> frozenset[Corner]:
     """All coordinate tuples in the Weyl orbit of a coordinate tuple."""
     if family == GL:
         return frozenset(permutations(c))
-    if family == SL2:
-        return frozenset({(c[0],), (-c[0],)})
     out = set()
     for perm in permutations(c):
         for signs in product(*[((1,) if c == 0 else (1, -1)) for c in perm]):

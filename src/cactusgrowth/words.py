@@ -7,11 +7,12 @@ orbit of the k-th factor's minuscule weight.  Edge labels are redundant and
 omitted.  The elementary move tau_i replaces w_i by dom_W(w_{i-1} + w_{i+1}
 - w_i) and swaps the factor descriptors at i and i+1.
 
-Corners are plain int tuples.  A step is valid when dom_W of its difference
-is the factor's fundamental weight, and fill_cell is the one checked cell
-rule: weights.local_rule with both new steps checked.  Weight appears only
-in complete_cell, the wrapper of fill_cell that the benchmark's layer probe
-calls.
+Corners are plain int tuples.  StepKind.fundamental_weight alone says which
+factor lives in which family; a step is valid when dom_W of its difference
+is that weight, and crystal.build_minuscule grows the factor's crystal from
+it.  fill_cell is the one checked cell rule: weights.local_rule with both
+new steps checked.  Weight appears only in complete_cell, the wrapper of
+fill_cell that the benchmark's layer probe calls.
 
 A word is validated once, where it comes in: corner-only input in one loop
 (_read_corners), built with HighestWeightWord._trusted like the words that
@@ -74,17 +75,13 @@ class StepKind:
         return weyl_orbit(ctx.family, self.fundamental_weight(ctx))
 
     def fundamental_weight(self, ctx: CartanContext) -> tuple[int, ...]:
-        if ctx.family == SL2:
-            if self.name not in ("sl2", "vector"):
-                raise InvalidStep(f"{self} invalid in {ctx}")
-            return (1,)
-        if self.name == "sl2":
+        """The factor's highest weight in ctx, and the one statement of which
+        kind lives in which family: a vector in every family, an exterior
+        power (0 <= k <= n) only in GL(n), the doublet only in SL2."""
+        name, family = self.name, ctx.family
+        if name == "exterior" and family != GL or name == "sl2" and family != SL2:
             raise InvalidStep(f"{self} invalid in {ctx}")
-        if ctx.family == SP:
-            if self.name != "vector":
-                raise InvalidStep(f"{self} invalid in {ctx}")
-            return (1,) + (0,) * (ctx.rank - 1)
-        k = 1 if self.name == "vector" else self.k
+        k = self.k if name == "exterior" else 1
         if not 0 <= k <= ctx.rank:
             raise InvalidStep(f"exterior power {k} out of range for {ctx}")
         return (1,) * k + (0,) * (ctx.rank - k)
@@ -92,11 +89,7 @@ class StepKind:
     def crystal(self, ctx: CartanContext, size_cap: int = DEFAULT_SIZE_CAP) -> Crystal:
         from .crystal import build_minuscule
 
-        if ctx.family == SL2:
-            return build_minuscule(ctx, "sl2", size_cap=size_cap)
-        if self.name == "exterior":
-            return build_minuscule(ctx, "exterior", self.k, size_cap=size_cap)
-        return build_minuscule(ctx, "vector", size_cap=size_cap)
+        return build_minuscule(ctx, self.name, self.k, size_cap=size_cap)
 
     def __str__(self) -> str:
         if self.name == "exterior":

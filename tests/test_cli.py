@@ -1,6 +1,8 @@
 import hashlib
 import importlib
 import json
+import os
+import shlex
 import time
 
 import pytest
@@ -18,6 +20,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_every_readme_usage_line_exits_0(capsys, monkeypatch, tmp_path):
+    """Each line of the README's CLI block, run in process from a directory
+    holding the word.json and window.json it reads."""
+    with open(README) as fh:
+        block = fh.read().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    monkeypatch.chdir(tmp_path)
+    word = {"context": {"family": "Sp", "rank": 2}, "corners": [[0, 0], [1, 0], [1, 1], [1, 0], [1, 1], [1, 0], [0, 0]]}
+    (tmp_path / "word.json").write_text(json.dumps(word))
+    code, window, _ = run(capsys, "cylinder", "--depth", "3", "--input", "word.json")
+    assert code == 0
+    (tmp_path / "window.json").write_text(window)
+    assert len(lines) == 17
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "cactusgrowth"
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (line, err)
 
 
 def test_act_demo_fig_cat(capsys):
@@ -142,6 +167,33 @@ def test_crystal_dump_and_decompose(capsys):
     payload = json.loads(out)
     table = {tuple(c["weight"]): (c["count"], c["size"]) for c in payload["components"]}
     assert table[(0,)] == (5, 1)  # Catalan(3) trivial components
+
+
+def test_crystal_dump_output_is_pinned_byte_for_byte(capsys):
+    """Every minuscule crystal of GL(1..5) (vector and each exterior power),
+    Sp(2..8) and SL2 (sl2 and vector): exit code, stdout and stderr hashed
+    in order."""
+    grid = [("GL", n, kind) for n in range(1, 6) for kind in ("vector", *(f"exterior:{k}" for k in range(n + 1)))]
+    grid += [("Sp", n, "vector") for n in range(1, 5)] + [("SL2", 1, "sl2"), ("SL2", 1, "vector")]
+    h = hashlib.sha256()
+    for family, rank, kind in grid:
+        code, out, err = run(capsys, "crystal", "dump", "--family", family, "--rank", str(rank), "--kind", kind)
+        h.update(f"{code}\n{out}\n{err}".encode())
+    assert len(grid) == 31
+    assert h.hexdigest() == "bca88e3a9fda5fae53929573374a0a723bff3249e9daf08659ca776086ddd0fa"
+
+
+@pytest.mark.parametrize("family, rank, kind, message", [
+    ("SL2", "1", "exterior:1", "exterior(1) invalid in SL2"),
+    ("Sp", "2", "exterior:2", "exterior(2) invalid in Sp(4)"),
+    ("GL", "3", "sl2", "sl2 invalid in GL(3)"),
+    ("GL", "3", "exterior:4", "exterior power 4 out of range for GL(3)"),
+])
+def test_crystal_of_a_kind_outside_its_family_exits_3(capsys, family, rank, kind, message):
+    # the rule of StepKind.fundamental_weight, as for a word's steps
+    for command in ("dump", "decompose"):
+        argv = ["crystal", command, "--family", family, "--rank", rank, "--kind", kind]
+        assert run(capsys, *argv) == (3, "", f"domain error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,7 +17,7 @@ from cactusgrowth.crystal import (
     weyl_orbit_weights,
 )
 from cactusgrowth.suites import check_crystal, check_morphism, materialized_census
-from cactusgrowth.weights import CartanContext, ContextMismatch
+from cactusgrowth.weights import CartanContext, ContextMismatch, weyl_orbit
 from cactusgrowth.words import SL2_STEP, VECTOR, enumerate_hw_words, exterior
 
 GL2 = CartanContext("GL", 2)
@@ -65,13 +65,32 @@ def test_sp4_vector():
 
 
 def test_bad_parameters():
-    with pytest.raises(BadParameter):
-        build_minuscule(GL3, "exterior", 4)
-    with pytest.raises(BadParameter):
-        build_minuscule(GL3, "sl2")
+    for args in ((GL3, "exterior", 4), (GL3, "sl2"), (SP4, "exterior", 2), (SL2, "exterior", 1), (GL3, "spin")):
+        with pytest.raises(BadParameter):
+            build_minuscule(*args)
     for power in (tensor_power, decompose):
         with pytest.raises(BadParameter, match="r >= 0"):
             power(build_minuscule(GL3, "vector"), -1)
+
+
+# every minuscule crystal of GL(1..5), Sp(2..8) and SL2, with its highest weight
+MINUSCULE_GRID = [(CartanContext("GL", n), kind, k, (1,) * k + (0,) * (n - k))
+                  for n in range(1, 6) for kind, k in (("vector", 1), *(("exterior", k) for k in range(n + 1)))]
+MINUSCULE_GRID += [(CartanContext("Sp", n), "vector", 1, (1,) + (0,) * (n - 1)) for n in range(1, 5)]
+MINUSCULE_GRID += [(SL2, "sl2", 1, (1,)), (SL2, "vector", 1, (1,))]
+
+
+@pytest.mark.parametrize("ctx, kind, k, top", MINUSCULE_GRID)
+def test_minuscule_crystal_is_the_orbit_with_its_root_edges(ctx, kind, k, top):
+    # the weights are the Weyl orbit of the highest weight in descending
+    # order, and e_i joins x to x + alpha_i exactly when both lie in it
+    c = build_minuscule(ctx, kind, k)
+    orbit = weyl_orbit(ctx.family, top)
+    assert c.weights == tuple(sorted(orbit, reverse=True))
+    for i in ctx.index_set():
+        root = ctx.simple_root(i)
+        raised = {(x, tuple(a + b for a, b in zip(x, root))) for x in orbit}
+        assert {(c.weights[x], c.weights[y]) for x, y in c.e_maps[i].items()} == {p for p in raised if p[1] in orbit}
 
 
 def test_highest_weight_is_eps_zero():

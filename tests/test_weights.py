@@ -89,3 +89,13 @@ def test_simple_roots():
     assert SL2.simple_root(1) == (2,)
     with pytest.raises(ValueError):
         GL3.simple_root(3)
+
+
+def test_sl2_is_sp2_in_every_formula():
+    sp2 = CartanContext("Sp", 1)
+    for c in range(-6, 7):
+        assert dominant(weights.SL2, (c,)) is dominant(weights.SP, (c,))
+        assert weights.dom(weights.SL2, (c,)) == weights.dom(weights.SP, (c,))
+        assert weyl_orbit(weights.SL2, (c,)) == weyl_orbit(weights.SP, (c,))
+    assert SL2.index_set() == sp2.index_set() == range(1, 2)
+    assert SL2.simple_root(1) == sp2.simple_root(1) == (2,)
