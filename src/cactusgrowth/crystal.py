@@ -375,6 +375,7 @@ def build_minuscule(context: CartanContext, which: str, k: int = 1, size_cap: in
     "-2"; SL2's "+" and "-").  Refused before anything is built when
     |B| x rank exceeds size_cap, |B| being C(n, k) for GL(n) and 2n otherwise.
     """
+    _check_size(context, 1, size_cap)  # bounds the rank before the highest weight holds rank coordinates
     try:
         top = StepKind(which, k).fundamental_weight(context)
     except ValueError as exc:  # an unknown kind, or InvalidStep
@@ -391,28 +392,36 @@ def build_minuscule(context: CartanContext, which: str, k: int = 1, size_cap: in
     else:
         size = 2 * n
     _check_size(context, size, size_cap)
-    # <x, alpha_i^vee> is -1, 0 or 1 on a minuscule orbit, so 1 where x_i > x_(i+1), and f_i swaps
-    # the two; at node n of Sp and SL2 it is x_n, and f_n negates x_n: the swap with x_(n+1) = -x_n
-    nodes, signed = context.index_set(), context.family != GL
+    # <x, alpha_i^vee> is -1, 0 or 1 on a minuscule orbit: for i < n it is 1 where x_i > x_(i+1),
+    # and there f_i swaps the two; at node n of Sp and SL2 it is x_n, and f_n negates x_n
+    signed, inner = context.family != GL, range(1, n)
     grown, seen, edges = [top], {top}, []
     for x in grown:  # each weight once
-        z = x + (-x[-1],) if signed else x
-        for i in compress(nodes, map(gt, z, z[1:])):
-            y = (z[:i - 1] + (z[i], z[i - 1]) + z[i + 1:])[:n]
+        steps = [(i, x[:i - 1] + (x[i], x[i - 1]) + x[i + 1:]) for i in compress(inner, map(gt, x, x[1:]))]
+        if signed and x[-1] > 0:
+            steps.append((n, x[:-1] + (-x[-1],)))
+        for i, y in steps:
             edges.append((i, y, x))
             if y not in seen:
                 seen.add(y)
                 grown.append(y)
     grown.sort(reverse=True)
     index = {x: j for j, x in enumerate(grown)}
-    e_maps: dict[int, dict[int, int]] = {i: {} for i in nodes}
+    e_maps: dict[int, dict[int, int]] = {i: {} for i in context.index_set()}
     for i, y, x in edges:
         e_maps[i][index[y]] = index[x]
     if context.family == SL2:
         labels = ["+" if x[0] > 0 else "-" for x in grown]
     else:
-        labels = ["".join([str(a) if x[a - 1] > 0 else f"-{a}" for a in compress(range(1, n + 1), x)]) for x in grown]
+        labels = [_signed_positions(x) for x in grown]
     return Crystal(context, labels, e_maps, grown)
+
+
+def _signed_positions(x: tuple[int, ...]) -> str:
+    """The label of a minuscule weight: its nonzero positions, counted from
+    1, each with the sign of its entry ((1, 0, 1) is "13", (0, -1) is "-2")."""
+    positions = compress(range(1, len(x) + 1), x)  # the nonzero ones
+    return "".join([str(a) if x[a - 1] > 0 else f"-{a}" for a in positions])
 
 
 def crystal_to_json(c: Crystal) -> dict:

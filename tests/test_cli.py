@@ -204,6 +204,10 @@ def test_crystal_of_a_kind_outside_its_family_exits_3(capsys, family, rank, kind
     ["--max-size", "100", "crystal", "dump", "--family", "GL", "--rank", "24", "--kind", "exterior:12"],
     ["crystal", "decompose", "--family", "GL", "--rank", "40", "--kind", "exterior:20", "--r", "1"],
     ["crystal", "dump", "--family", "Sp", "--rank", "100000"],
+    # a rank over the cap: refused before the highest weight's rank coordinates exist
+    ["crystal", "dump", "--family", "Sp", "--rank", "1000000000"],
+    ["crystal", "dump", "--family", "GL", "--rank", "1000000000"],
+    ["crystal", "decompose", "--family", "GL", "--rank", "1000000000", "--kind", "exterior:3", "--r", "1"],
 ])
 def test_crystal_power_over_the_size_cap(capsys, argv):
     start = time.perf_counter()
