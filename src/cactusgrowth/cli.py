@@ -14,13 +14,12 @@ Exit codes: 0 success, 1 verification or demo failure, 2 usage/parse
 error, 3 domain error (invalid step, dimension mismatch, ...).
 """
 # A one-shot command loads only the layers it runs: at module level this
-# file imports only the standard library, and each handler imports the
-# layers it calls where it calls them, so `act` never loads the crystals,
-# the Hecke algebra, the oracles or the verification suites, and the
-# handlers other than act, and --help, are in commands.  In process those imports run
-# on every request; the absolute form `import cactusgrowth.x as x` costs
-# about a third of `from . import x`, which calls back into importlib's
-# Python code.
+# file imports only the standard library, and each handler takes the layers
+# it calls from _layer where it calls them, so `act` never loads the
+# crystals, the Hecke algebra, the oracles or the verification suites, and
+# the handlers other than act, and --help, are in commands.  In process that
+# runs on every request; a sys.modules lookup costs a quarter of an import
+# statement, which goes through the import machinery each time.
 from __future__ import annotations
 
 import json
@@ -38,47 +37,44 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
-def _read_word(args) -> HighestWeightWord:
-    import cactusgrowth.words as words
+def _layer(name: str):
+    """The package's module `name` as sys.modules holds it now, so that a
+    layer imported afresh is the one used, imported on first use (a
+    non-empty fromlist makes __import__ return the module itself)."""
+    name = "cactusgrowth." + name
+    return sys.modules.get(name) or __import__(name, fromlist=("*",))
 
-    if len([s for s in (args.input, args.json, args.demo) if s]) != 1:
+
+def _read_word(args) -> HighestWeightWord:
+    if bool(args.input) + bool(args.json) + bool(args.demo) != 1:
         raise _usage("provide exactly one of --input, --json, --demo")
     if args.demo:
         return _function("_demo_word")(args.demo)
     if args.input:
         with open(args.input) as fh:
-            return words.word_from_json(json.load(fh))
-    return words.word_from_json(json.loads(args.json))
+            return _layer("words").word_from_json(json.load(fh))
+    return _layer("words").word_from_json(json.loads(args.json))
 
 
 def _usage(message: str) -> Exception:
     """errors.UsageError(message), looked up at call time as in main."""
-    import cactusgrowth.errors as errors
-
-    return errors.UsageError(message)
+    return _layer("errors").UsageError(message)
 
 
 def _emit_word(w: HighestWeightWord, fmt: str) -> None:
     if fmt == "ascii":
-        import cactusgrowth.windows as windows
-
-        print(windows.render_word_ascii(w))
+        print(_layer("windows").render_word_ascii(w))
     else:
-        import cactusgrowth.words as words
-
-        print(words.json_text(w.context, w.steps, "corners", w.corners))
+        print(_layer("words").json_text(w.context, w.steps, "corners", w.corners))
 
 
 # -- subcommand handlers -----------------------------------------------------
 
 
 def cmd_act(args) -> int:
-    import cactusgrowth.cactus as cactus
-    import cactusgrowth.growth as growth
-
     w = _read_word(args)
-    g = cactus.parse_cactus_word(args.word, w.r)
-    out = growth.act(g, w)
+    g = _layer("cactus").parse_cactus_word(args.word, w.r)
+    out = _layer("growth").act(g, w)
     _emit_word(out, args.format)
     return EXIT_OK
 
@@ -135,6 +131,8 @@ _TOP = (None, __doc__, ("cmd", tuple(_COMMANDS)), dict([
 # each command's option defaults, and the global ones (None) with no command yet
 _DEFAULTS = {cmd: {spec[0]: spec[2] for spec in opts.values()} for cmd, (_, _, _, opts) in _COMMANDS.items()}
 _DEFAULTS[None] = {"cmd": None, **{spec[0]: spec[2] for spec in _TOP[3].values()}}
+# each command's required options, as (name, dest)
+_REQUIRED = {cmd: [(name, spec[0]) for name, spec in opts.items() if spec[3]] for cmd, (_, _, _, opts) in _COMMANDS.items()}
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
@@ -161,13 +159,17 @@ def _parse_args(argv: Optional[list[str]] = None) -> SimpleNamespace:
     argv = sys.argv[1:] if argv is None else argv
     cmd, (fn, _, pos, opts) = None, _TOP
     values = dict(_DEFAULTS[None])
-    extras, k = [], 0
-    while k < len(argv):
+    extras, k, n = [], 0, len(argv)
+    while k < n:
         tok, k = argv[k], k + 1
         spec = opts.get(tok)  # `--name value` for a known option that takes a value, in one lookup
-        if spec is not None and spec[1] is not bool and k < len(argv) and not _is_option(argv[k], opts):
-            values[spec[0]] = _convert(tok, spec[1], spec[4], argv[k])
+        if spec is not None and spec[1] is not bool and k < n and (argv[k][:1] != "-" or not _is_option(argv[k], opts)):
+            values[spec[0]] = argv[k] if spec[1] is str and not spec[4] else _convert(tok, spec[1], spec[4], argv[k])
             k += 1
+            continue
+        if cmd is None and tok in _COMMANDS:  # the command: the rest of argv is its own
+            cmd, (fn, _, pos, opts) = tok, _COMMANDS[tok]
+            values.update(_DEFAULTS[cmd], cmd=cmd, fn=_function(fn))
             continue
         if tok in ("-h", "--help"):
             print(_function("_help")(cmd))
@@ -179,9 +181,6 @@ def _parse_args(argv: Optional[list[str]] = None) -> SimpleNamespace:
         elif not option:
             values[pos[0]] = _convert(pos[0], str, pos[1], tok)
             pos = None
-            if cmd is None:  # the command: the rest of argv is its own
-                cmd, (fn, _, pos, opts) = tok, _COMMANDS[tok]
-                values.update(_DEFAULTS[cmd], fn=_function(fn))
         else:
             dest, typ, _, _, choices, _ = opts[name]
             if typ is bool and eq:
@@ -193,7 +192,7 @@ def _parse_args(argv: Optional[list[str]] = None) -> SimpleNamespace:
             values[dest] = _convert(name, typ, choices, text)
     # a required option has no default, so None means it was not given
     missing = [pos[0]] if pos else []
-    missing += [name for name, spec in opts.items() if spec[3] and values[spec[0]] is None]
+    missing += [name for name, dest in _REQUIRED.get(cmd, ()) if values[dest] is None]
     if missing:
         raise _usage(f"the following arguments are required: {', '.join(missing)}")
     if extras:
@@ -203,11 +202,7 @@ def _parse_args(argv: Optional[list[str]] = None) -> SimpleNamespace:
 
 def _function(name: str):
     """This module's function `name`, or else the commands module's."""
-    if name in globals():
-        return globals()[name]
-    import cactusgrowth.commands as commands
-
-    return getattr(commands, name)
+    return globals().get(name) or getattr(_layer("commands"), name)
 
 
 def build_parser() -> SimpleNamespace:
@@ -215,21 +210,19 @@ def build_parser() -> SimpleNamespace:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # Imported on every call, like the layers the handlers import, so that
-    # errors.DomainError is the base their errors derive from, and
+    # An except clause names its class when an exception reaches it, so
+    # errors.DomainError is the base the layers' errors derive from, and
     # errors.UsageError the class commands raises, even after the package
     # has been imported afresh in this process.
-    import cactusgrowth.errors as errors
-
     try:
         args = _parse_args(argv)
         return args.fn(args)
     except SystemExit:  # --help; argument errors raise UsageError instead
         return EXIT_OK
-    except errors.UsageError as exc:
+    except _layer("errors").UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except errors.DomainError as exc:
+    except _layer("errors").DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:  # also json.JSONDecodeError and ParseError

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Optional
 
-from .cli import _COMMANDS, _TOP, EXIT_OK, EXIT_VERIFY, _emit_word, _read_word, _usage
+from .cli import _COMMANDS, _TOP, EXIT_OK, EXIT_VERIFY, _emit_word, _layer, _read_word, _usage
 
 if TYPE_CHECKING:
     from .oracles import StandardTableau
@@ -36,17 +36,13 @@ def _load_fixture(name: str) -> dict:
 
 
 def _demo_word(name: str) -> HighestWeightWord:
-    import cactusgrowth.weights as weights
-    import cactusgrowth.words as words
-
+    weights, words = map(_layer, ("weights", "words"))
     if name.startswith("fig-cat-"):
         fix = _load_fixture("fig_cat.json")
         key = name.rsplit("-", 1)[1].upper()
         if key not in fix["tableaux"]:
             raise ValueError(f"unknown tableau {key!r}")
-        import cactusgrowth.oracles as oracles
-
-        t = oracles.syt_from_string(fix["tableaux"][key])
+        t = _layer("oracles").syt_from_string(fix["tableaux"][key])
         return words.syt_to_word(t.rows, rank=2)
     if name == "ex-sp":
         fix = _load_fixture("sp_window.json")
@@ -64,60 +60,41 @@ def _demo_word(name: str) -> HighestWeightWord:
 
 
 def cmd_evacuate(args) -> int:
-    import cactusgrowth.growth as growth
-
     w = _read_word(args)
     if args.format == "ascii" and args.show_diagram:
-        import cactusgrowth.windows as windows
-
-        print(windows.render_triangle_ascii(w))
-    _emit_word(growth.evacuation(w), args.format)
+        print(_layer("windows").render_triangle_ascii(w))
+    _emit_word(_layer("growth").evacuation(w), args.format)
     return EXIT_OK
 
 
 def cmd_promote(args) -> int:
-    import cactusgrowth.growth as growth
-
     w = _read_word(args)
-    _emit_word(growth.promotion(w), args.format)
+    _emit_word(_layer("growth").promotion(w), args.format)
     return EXIT_OK
 
 
 def cmd_tau(args) -> int:
-    import cactusgrowth.words as words
-
     w = _read_word(args)
-    _emit_word(words.tau(w, args.i), args.format)
+    _emit_word(_layer("words").tau(w, args.i), args.format)
     return EXIT_OK
 
 
 def cmd_cylinder(args) -> int:
-    import cactusgrowth.errors as errors
-    import cactusgrowth.growth as growth
-
     w = _read_word(args)
     cells = args.depth * (w.r + 1)
     if cells > args.max_size:
-        raise errors.SizeLimit(f"a window of depth {args.depth} on r={w.r} has {cells} cells, "
+        raise _layer("errors").SizeLimit(f"a window of depth {args.depth} on r={w.r} has {cells} cells, "
                                f"over the cap of {args.max_size}")
-    win = growth.build_cylinder(w, args.depth)
+    win = _layer("growth").build_cylinder(w, args.depth)
     if args.format == "ascii":
-        import cactusgrowth.windows as windows
-
-        print(windows.render_window_ascii(win))
+        print(_layer("windows").render_window_ascii(win))
     else:
-        import cactusgrowth.words as words
-
-        print(words.json_text(win.context, win.steps, "rows", win.rows))
+        print(_layer("words").json_text(win.context, win.steps, "rows", win.rows))
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    import cactusgrowth.growth as growth
-    import cactusgrowth.weights as weights
-    import cactusgrowth.windows as windows
-    import cactusgrowth.words as words
-
+    growth, weights, windows, words = map(_layer, ("growth", "weights", "windows", "words"))
     with open(args.input) as fh:
         payload = json.load(fh)
     context = payload.get("context") if isinstance(payload, dict) else None
@@ -125,9 +102,9 @@ def cmd_validate(args) -> int:
             and ("rows" in payload or "corners" in payload)):
         raise ValueError("a window or word must be an object with a context of a family and a rank, "
                          "and rows or corners")
-    words.check_word_json(payload)
     is_window = "rows" in payload
-    if is_window:
+    if is_window:  # word_from_json types a word's values itself
+        words.check_word_json(payload)
         rows = payload["rows"]
         if not (isinstance(rows, list) and rows and all(words.is_corner_list(row) for row in rows)):
             raise ValueError("window rows must be a non-empty list of rows of int corners")
@@ -151,10 +128,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_crystal(args) -> int:
-    import cactusgrowth.crystal as crystal
-    import cactusgrowth.weights as weights
-    import cactusgrowth.words as words
-
+    crystal, weights, words = map(_layer, ("crystal", "weights", "words"))
     ctx = weights.CartanContext(args.family, args.rank)
     kind = words.parse_step_kind(args.kind)
     c = kind.crystal(ctx, size_cap=args.max_size)
@@ -171,14 +145,13 @@ def cmd_crystal(args) -> int:
 def _tableau_json(text: str) -> list[list[int]]:
     """Tableau rows from JSON, which must be a list of lists of ints."""
     rows = json.loads(text)
-    if not (isinstance(rows, list) and all(isinstance(r, list) and all(type(v) is int for v in r) for r in rows)):
+    if not _layer("words").is_corner_list(rows):
         raise ValueError("tableau JSON must be a list of lists of ints")
     return rows
 
 
 def _read_tableau(args) -> StandardTableau:
-    import cactusgrowth.oracles as oracles
-
+    oracles = _layer("oracles")
     if args.tableau:
         return oracles.syt_from_string(args.tableau)
     if args.json:
@@ -187,8 +160,7 @@ def _read_tableau(args) -> StandardTableau:
 
 
 def cmd_oracle(args) -> int:
-    import cactusgrowth.oracles as oracles
-
+    oracles = _layer("oracles")
     if args.tableau and args.json:
         raise _usage("provide exactly one of --tableau, --json")
     op = args.oracle_cmd
@@ -232,23 +204,21 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 
 
 def cmd_hecke(args) -> int:
-    import cactusgrowth.errors as errors
-    import cactusgrowth.oracles as oracles
-
     shape = _parse_shape(args.shape)
-    dim = oracles.count_syt(shape)
+    errors = _layer("errors")
+    # count_syt takes time linear in the box count: too many boxes are refused first
+    if sum(shape) > args.max_size:
+        raise errors.SizeLimit(f"shape {args.shape} has {sum(shape)} boxes, over the cap of {args.max_size}")
+    dim = _layer("oracles").count_syt(shape)
     if dim > args.max_size:
         raise errors.SizeLimit(f"shape {args.shape} has {dim} standard tableaux, over the cap of {args.max_size}")
     if args.hecke_cmd == "check":
-        import cactusgrowth.suites as suites
-
-        rep = suites.check_hecke_shape(shape)
+        rep = _layer("suites").check_hecke_shape(shape)
         for line in rep.failures:
             print("FAIL:", line)
         print(rep.summary())
         return EXIT_OK if rep.passed else EXIT_VERIFY
-    import cactusgrowth.hecke as hecke
-
+    hecke = _layer("hecke")
     srep = hecke.SeminormalRep(shape)
     op = args.op
     if op in ("u", "t", "tau"):
@@ -267,8 +237,7 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import cactusgrowth.suites as suites
-
+    suites = _layer("suites")
     if args.tiny and (args.r is not None or args.maxsize is not None):
         raise _usage("--tiny sets its own bounds: drop --r and --maxsize")
     for flag, bound in (("--r", args.r), ("--maxsize", args.maxsize)):
@@ -314,12 +283,7 @@ def _check(label: str, got, expected) -> int:
 
 
 def _run_demo(name: str) -> int:
-    import cactusgrowth.cactus as cactus
-    import cactusgrowth.growth as growth
-    import cactusgrowth.oracles as oracles
-    import cactusgrowth.weights as weights
-    import cactusgrowth.words as words
-
+    cactus, growth, oracles, weights, words = map(_layer, ("cactus", "growth", "oracles", "weights", "words"))
     bad = 0
     if name == "bk":
         fix = _load_fixture("bk_example.json")

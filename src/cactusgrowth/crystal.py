@@ -76,7 +76,8 @@ class Crystal:
                  element_weights: tuple[tuple[int, ...], ...], eps: dict[int, list[int]],
                  phi: dict[int, list[int]]) -> Crystal:
         """A crystal from tables that are consistent by construction, without
-        validation: only tensor calls it, on factors that are crystals."""
+        validation: tensor calls it on factors that are crystals, and
+        build_minuscule on the e-maps it grows by simple roots."""
         c = cls.__new__(cls)
         c.context, c.labels, c.n, c.weights = context, labels, len(labels), element_weights
         c.e_maps = e_maps
@@ -407,14 +408,18 @@ def build_minuscule(context: CartanContext, which: str, k: int = 1, size_cap: in
                 grown.append(y)
     grown.sort(reverse=True)
     index = {x: j for j, x in enumerate(grown)}
+    # every i-string has length at most 1: eps_i is 1 exactly where e_i acts, phi_i where f_i does
     e_maps: dict[int, dict[int, int]] = {i: {} for i in context.index_set()}
+    eps = {i: [0] * len(grown) for i in e_maps}
+    phi = {i: [0] * len(grown) for i in e_maps}
     for i, y, x in edges:
         e_maps[i][index[y]] = index[x]
+        eps[i][index[y]] = phi[i][index[x]] = 1
     if context.family == SL2:
-        labels = ["+" if x[0] > 0 else "-" for x in grown]
+        labels = tuple("+" if x[0] > 0 else "-" for x in grown)
     else:
-        labels = [_signed_positions(x) for x in grown]
-    return Crystal(context, labels, e_maps, grown)
+        labels = tuple(map(_signed_positions, grown))
+    return Crystal._trusted(context, labels, e_maps, tuple(grown), eps, phi)
 
 
 def _signed_positions(x: tuple[int, ...]) -> str:

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import chain
 from math import factorial
+from operator import itemgetter, le, lt
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -73,24 +75,25 @@ def strip_check(inner: Corner, outer: Corner, kind: str) -> bool:
 
 class _Tableau:
     """Nonempty rows of entries >= 1 in a partition shape, with strictly
-    increasing columns and rows that increase by at least _row_step;
-    compared and hashed by rows within one class."""
+    increasing columns and rows that increase by _row_order (lt strictly, le
+    weakly), checked in C-level passes over each row; compared and hashed
+    by rows within one class."""
 
     __slots__ = ()
-    _row_step = 0
+    _row_order = le
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        self.rows = rows = tuple(tuple(r) for r in rows)
-        if not all(r and r[0] >= 1 for r in rows):
+        self.rows = rows = tuple(map(tuple, rows))
+        if not (all(rows) and min(map(itemgetter(0), rows), default=1) >= 1):
             raise ValueError("rows must be nonempty, with entries >= 1")
-        step = self._row_step
+        order = self._row_order
         for r in rows:
-            if any(r[i] + step > r[i + 1] for i in range(len(r) - 1)):
-                raise ValueError("rows must increase" if step else "rows must weakly increase")
+            if not all(map(order, r, r[1:])):
+                raise ValueError("rows must increase" if order is lt else "rows must weakly increase")
         for above, row in zip(rows, rows[1:]):
             if len(row) > len(above):
                 raise ValueError("shape must be a partition")
-            if any(a >= b for a, b in zip(above, row)):
+            if not all(map(lt, above, row)):
                 raise ValueError("columns must strictly increase")
 
     @classmethod
@@ -117,17 +120,17 @@ class StandardTableau(_Tableau):
     """Strict rows and columns, entries 1..n each once."""
 
     __slots__ = ("rows",)
-    _row_step = 1
+    _row_order = lt
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         super().__init__(rows)
         n = self.n
-        if sorted(v for r in self.rows for v in r) != list(range(1, n + 1)):
+        if sorted(chain.from_iterable(self.rows)) != list(range(1, n + 1)):
             raise ValueError(f"entries must be 1..{n} exactly once")
 
     @property
     def n(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self.rows))
 
     def content(self, value: int) -> int:
         """Column minus row of value."""

@@ -320,6 +320,8 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laur
     if num.is_zero():
         return LaurentPoly.zero(), LaurentPoly.one()
     fn, fd = num._coeffs, den._coeffs
+    if fd == (1,):  # den is q^k: num / q^k is num shifted, already canonical
+        return LaurentPoly._trusted(num._shift - den._shift, fn), den if not den._shift else LaurentPoly.one()
     g = _dense_gcd(fn, fd)
     if len(g) > 1 or g[0] != 1:
         fn = _dense_exact_div(fn, g)

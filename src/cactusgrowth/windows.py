@@ -1,16 +1,18 @@
 """The growth diagrams `act` never runs: rectangles (rectification, with
 the checked rule words.fill_cell), the cell-by-cell check of a cylindrical
-window (each edge's step kind inferred once), a window rebuilt from the
-labels along a path, and the bracketed-shape grids of `--format ascii`.
+window (each edge's step kind read from words.step_table, the memo of
+every (family, a, b) that holds up to 4 096 steps), a window rebuilt from
+the labels along a path, and the bracketed-shape grids of `--format ascii`.
 """
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .errors import DomainError
 from .growth import CylWindow, _triangle
 from .weights import CartanContext, Corner, dominant, local_rule
-from .words import HighestWeightWord, InvalidStep, StepKind, fill_cell, infer_step_kind, word_from_corners
+from .words import HighestWeightWord, InvalidStep, StepKind, fill_cell, infer_step_kind, step_table, word_from_corners
 
 
 class BadPath(ValueError, DomainError):
@@ -51,8 +53,8 @@ def complete_rectangle(ctx: CartanContext, top_corners: Sequence[Corner],
         raise InvalidStep("top row and left column do not share their corner")
     m = len(left_corners) - 1
     n = len(top_corners) - 1
-    top_steps = tuple(infer_step_kind(ctx, top_corners[j], top_corners[j + 1]) for j in range(n))
-    left_steps = tuple(infer_step_kind(ctx, left_corners[i], left_corners[i + 1]) for i in range(m))
+    top_steps = tuple(map(infer_step_kind, repeat(ctx), top_corners, top_corners[1:]))
+    left_steps = tuple(map(infer_step_kind, repeat(ctx), left_corners, left_corners[1:]))
     rows = [list(top_corners)]
     for i in range(1, m + 1):
         prev = rows[i - 1]
@@ -67,10 +69,10 @@ def validate_window(win: CylWindow) -> bool:
     """Independent check of every unit square and boundary, with the verdict
     of words.cell_is_valid on each cell.
 
-    Each distinct edge is inferred once.  A cell kappa -> lam -> nu,
-    kappa -> mu -> nu of dominant corners is valid when all four steps are
-    minuscule, the local rule gives mu from lam and lam from mu, and
-    opposite edges carry the same factor: kind(kappa -> mu) ==
+    Each edge's kind is read from words.step_table.  A cell kappa -> lam
+    -> nu, kappa -> mu -> nu of dominant corners is valid when all four
+    steps are minuscule, the local rule gives mu from lam and lam from mu,
+    and opposite edges carry the same factor: kind(kappa -> mu) ==
     kind(lam -> nu) and kind(mu -> nu) == kind(kappa -> lam).
     """
     ctx, r = win.context, win.r
@@ -81,23 +83,13 @@ def validate_window(win: CylWindow) -> bool:
             return False
     if not all(dominant(fam, c) for c in {c for row in win.rows for c in row}):
         return False
-    kinds: dict[tuple[Corner, Corner], Optional[StepKind]] = {}
-
-    def kind(a: Corner, b: Corner) -> Optional[StepKind]:
-        """infer_step_kind, or None where the step is not minuscule."""
-        if (a, b) not in kinds:
-            try:
-                kinds[a, b] = infer_step_kind(ctx, a, b)
-            except InvalidStep:
-                kinds[a, b] = None
-        return kinds[a, b]
-
     for above, below in zip(win.rows, win.rows[1:]):
         # row i holds gamma(i, i + t) at t; the cell at (i, i + t) has kappa =
         # below[t - 1], lam = above[t], nu = above[t + 1] and mu = below[t]
         for t in range(1, r):
             kappa, lam, nu, mu = below[t - 1], above[t], above[t + 1], below[t]
-            left, top, bottom, right = kind(kappa, lam), kind(lam, nu), kind(kappa, mu), kind(mu, nu)
+            left, top = step_table(fam, kappa, lam)[0], step_table(fam, lam, nu)[0]
+            bottom, right = step_table(fam, kappa, mu)[0], step_table(fam, mu, nu)[0]
             if left is None or top is None or bottom is None or right is None:
                 return False
             if bottom != top or right != left:

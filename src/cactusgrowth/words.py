@@ -14,19 +14,23 @@ it.  fill_cell is the one checked cell rule: weights.local_rule with both
 new steps checked.  Weight appears only in complete_cell, the wrapper of
 fill_cell that the benchmark's layer probe calls.
 
-A word is validated once, where it comes in: corner-only input in one loop
-(_read_corners), built with HighestWeightWord._trusted like the words that
-enumeration, tau and growth output (growth.act_gen re-checks what it moved).
+A word is validated once, where it comes in: corner-only input in C-level
+passes over the corners (_read_corners), each step read from step_table,
+one memoized entry per (family, a, b) with local_rule's bound of 4 096, and
+built with HighestWeightWord._trusted like the words that enumeration, tau
+and growth output (growth.act_gen re-checks what it moved).
 growth.promotion, the public constructor and explicit steps check in full.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, repeat
 from operator import sub
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DEFAULT_SIZE_CAP, DomainError
 from .weights import (
+    _LOCAL_RULE_CACHE,
     GL,
     SL2,
     SP,
@@ -115,12 +119,24 @@ def step_is_valid(ctx: CartanContext, kind: StepKind, start: Sequence[int], end:
 
 
 _BITS = frozenset((0, 1))
+_STEP_NAMES = {GL: "a GL exterior-power", SP: "an Sp vector", SL2: "an SL2"}
 
 
-@lru_cache(maxsize=None)
-def _inferred_exterior(k: int) -> StepKind:
-    """The GL kind of a step of k boxes, one object per k (k <= rank)."""
-    return VECTOR if k == 1 else exterior(k)
+@lru_cache(maxsize=_LOCAL_RULE_CACHE)
+def step_table(family: str, start: Corner, end: Corner) -> tuple[Optional[StepKind], bool]:
+    """The kind of the step start -> end (None when it is no minuscule step of
+    the family), and whether it is a minuscule step into a dominant corner.
+    Memoized with local_rule's bound: the words of one process repeat few
+    steps.  Corners must be int tuples."""
+    diff = tuple(map(sub, end, start))
+    if family == SL2:
+        kind = SL2_STEP if diff in ((1,), (-1,)) else None
+    elif family == SP:
+        kind = VECTOR if sum(map(abs, diff)) == 1 else None
+    else:
+        k = sum(diff)
+        kind = (VECTOR if k == 1 else exterior(k)) if _BITS.issuperset(diff) else None
+    return kind, kind is not None and dominant(family, end)
 
 
 def infer_step_kind(ctx: CartanContext, start: Corner, end: Corner) -> StepKind:
@@ -129,18 +145,10 @@ def infer_step_kind(ctx: CartanContext, start: Corner, end: Corner) -> StepKind:
     >>> print(infer_step_kind(CartanContext('GL', 4), (1, 1, 1, 0), (2, 1, 1, 1)))
     exterior(2)
     """
-    diff = tuple(map(sub, end, start))
-    if ctx.family == SL2:
-        if diff in ((1,), (-1,)):
-            return SL2_STEP
-        raise InvalidStep(f"{_fmt(start)} -> {_fmt(end)} is not an SL2 step")
-    if ctx.family == SP:
-        if sum(map(abs, diff)) == 1:
-            return VECTOR
-        raise InvalidStep(f"{_fmt(start)} -> {_fmt(end)} is not an Sp vector step")
-    if _BITS.issuperset(diff):
-        return _inferred_exterior(sum(diff))
-    raise InvalidStep(f"{_fmt(start)} -> {_fmt(end)} is not a GL exterior-power step")
+    kind = step_table(ctx.family, tuple(start), tuple(end))[0]
+    if kind is None:
+        raise InvalidStep(f"{_fmt(start)} -> {_fmt(end)} is not {_STEP_NAMES[ctx.family]} step")
+    return kind
 
 
 def _fmt(c: Sequence[int]) -> str:
@@ -194,7 +202,7 @@ class HighestWeightWord:
 def word_from_corners(ctx: CartanContext, corners: Sequence[Sequence[int]],
                       steps: Optional[Sequence[StepKind]] = None) -> HighestWeightWord:
     """Build a word from raw corner vectors, checked by the public constructor
-    with explicit steps, else inferred and checked in one pass by _read_corners."""
+    with explicit steps, else inferred and checked by _read_corners."""
     if steps is not None:
         return HighestWeightWord(ctx, tuple(steps), tuple(tuple(int(x) for x in c) for c in corners))
     return _read_corners(ctx, [[int(x) for x in c] for c in corners])
@@ -204,45 +212,27 @@ _CORNER_TYPES = "the corners must be a list of corners, each a list of ints"
 
 
 def _read_corners(ctx: CartanContext, raw: list) -> HighestWeightWord:
-    """The word on the corner lists `raw`, its steps inferred, checked in one
-    loop that types, sizes and tuples each corner, infers the step into it
-    and tests its dominance.  The error raised is the first of: a corner that
-    is not a list of ints, no corner, a corner of the wrong length (before
-    any step), a step, a nonzero start, a corner that is not dominant."""
-    fam, rank = ctx.family, ctx.rank
-    corners, steps, sized, bad_step, undominated = [], [], True, None, 0
-    for c in raw:  # plain loops: this runs on every word a request reads
-        if not isinstance(c, list):
-            raise ValueError(_CORNER_TYPES)
-        for v in c:
-            if type(v) is not int:
-                raise ValueError(_CORNER_TYPES)
-        c = tuple(c)
-        if len(c) != rank:
-            sized = False
-        elif sized and corners:
-            if bad_step is None:
-                try:
-                    steps.append(infer_step_kind(ctx, corners[-1], c))
-                except InvalidStep as exc:
-                    bad_step = exc
-            if not (undominated or dominant(fam, c)):
-                undominated = len(corners)
-        corners.append(c)
+    """The word on the corner lists `raw`, its steps inferred, checked in
+    C-level passes: the types, the lengths, then step_table on each step.
+    The error raised is the first of: a corner that is not a list of ints,
+    no corner, a corner of the wrong length (before any step), a step, a
+    nonzero start, a corner that is not dominant."""
+    if not is_corner_list(raw):
+        raise ValueError(_CORNER_TYPES)
+    corners = tuple(map(tuple, raw))
     if not corners:
         raise ValueError("0 steps need 1 corners, got 0")
-    corners = tuple(corners)
-    if not sized:
-        raise ValueError(f"corners {corners} do not match rank {rank}")
-    if bad_step is not None:
-        raise bad_step
+    if set(map(len, corners)) != {ctx.rank}:
+        raise ValueError(f"corners {corners} do not match rank {ctx.rank}")
+    steps, into_dominant = tuple(zip(*map(step_table, repeat(ctx.family), corners, corners[1:]))) or ((), ())
+    if not all(steps):  # a step that is not minuscule: infer_step_kind raises on the first
+        tuple(map(infer_step_kind, repeat(ctx), corners, corners[1:]))
     if any(corners[0]):
         raise InvalidStep("a highest weight word starts at the zero weight")
-    if undominated:  # the step into it is the first that HighestWeightWord refuses
-        k = undominated
-        raise InvalidStep(f"corner {k - 1}: {_fmt(corners[k - 1])} -> {_fmt(corners[k])} "
-                          f"is not a valid {steps[k - 1]} step")
-    return HighestWeightWord._trusted(ctx, tuple(steps), corners)
+    if not all(into_dominant):  # the step into it is the first that HighestWeightWord refuses
+        k = into_dominant.index(False)
+        raise InvalidStep(f"corner {k}: {_fmt(corners[k])} -> {_fmt(corners[k + 1])} is not a valid {steps[k]} step")
+    return HighestWeightWord._trusted(ctx, steps, corners)
 
 
 def fill_cell(ctx: CartanContext, kappa: Corner, lam: Corner, nu: Corner) -> Corner:
@@ -303,17 +293,13 @@ def commutor_prefix(w: HighestWeightWord, split: int) -> HighestWeightWord:
     return w
 
 
+_LIST, _INT = frozenset((list,)), frozenset((int,))
+
+
 def is_corner_list(x) -> bool:
-    """A JSON list of corners, each a list of ints (bools excluded)."""
-    if not isinstance(x, list):
-        return False
-    for c in x:  # plain loops: this runs on every word a request reads
-        if not isinstance(c, list):
-            return False
-        for v in c:
-            if type(v) is not int:
-                return False
-    return True
+    """A JSON list of corners, each a list of ints (bools excluded), in
+    C-level passes: word corners, window rows and tableau rows."""
+    return isinstance(x, list) and set(map(type, x)) <= _LIST and _INT.issuperset(map(type, chain.from_iterable(x)))
 
 
 def check_word_json(obj) -> None:
@@ -338,7 +324,7 @@ def check_word_json(obj) -> None:
 
 def word_from_json(obj: dict) -> HighestWeightWord:
     """The word of a word JSON object.  Corner-only JSON with a list of
-    corners and a valid context is read in one pass by _read_corners; any
+    corners and a valid context is read by _read_corners; any
     other payload meets check_word_json, the context and, with explicit
     steps, the checked constructor."""
     context = obj.get("context") if isinstance(obj, dict) and obj.get("steps") is None else None

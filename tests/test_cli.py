@@ -428,7 +428,24 @@ def test_hecke_size_cap_is_checked_before_the_shape_table(capsys, monkeypatch):
         for sub in ("matrix", "check"):
             code, out, err = run(capsys, "--max-size", "4", "hecke", sub, "--shape", "3,2")
             assert code == 3 and out == ""
-            assert err.splitlines() == ["domain error: shape 3,2 has 5 standard tableaux, over the cap of 4"]
+            assert err.splitlines() == ["domain error: shape 3,2 has 5 boxes, over the cap of 4"]
+            code, out, err = run(capsys, "--max-size", "5", "hecke", sub, "--shape", "3,1,1")
+            assert code == 3 and out == ""
+            assert err.splitlines() == ["domain error: shape 3,1,1 has 6 standard tableaux, over the cap of 5"]
+
+
+def test_hecke_shape_with_more_boxes_than_the_cap_is_refused_before_counting(capsys, monkeypatch):
+    """The hook-length count takes time linear in the box count, so a shape
+    of 10^11 boxes is refused by its box count, without counting."""
+    import cactusgrowth.oracles as oracles
+
+    monkeypatch.setattr(oracles, "count_syt", lambda shape: pytest.fail("tableaux counted over the cap"))
+    for sub in ("matrix", "check"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hecke", sub, "--shape", "99999999999", "--op", "u", "--i", "1")
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["domain error: shape 99999999999 has 99999999999 boxes, over the cap of 1000000"]
 
 
 def test_hecke_matrix_of_a_long_row_is_quick(capsys):

@@ -93,6 +93,21 @@ def test_minuscule_crystal_is_the_orbit_with_its_root_edges(ctx, kind, k, top):
         assert {(c.weights[x], c.weights[y]) for x, y in c.e_maps[i].items()} == {p for p in raised if p[1] in orbit}
 
 
+CHECKED_GRID = [(CartanContext("GL", n), kind, k)
+                for n in range(1, 7) for kind, k in (("vector", 1), *(("exterior", k) for k in range(n + 1)))]
+CHECKED_GRID += [(CartanContext("Sp", n), "vector", 1) for n in range(1, 5)] + [(SL2, "sl2", 1), (SL2, "vector", 1)]
+
+
+@pytest.mark.parametrize("ctx, kind, k", CHECKED_GRID, ids=str)
+def test_minuscule_crystal_equals_the_checked_constructor(ctx, kind, k):
+    """build_minuscule skips the checks of Crystal(...) and writes eps and
+    phi itself: rebuilt through the checked constructor, every table agrees."""
+    c = build_minuscule(ctx, kind, k)
+    checked = Crystal(ctx, c.labels, c.e_maps, c.weights)
+    for table in ("context", "labels", "n", "weights", "e_maps", "_f_maps", "_eps", "_phi"):
+        assert getattr(c, table) == getattr(checked, table), table
+
+
 def test_highest_weight_is_eps_zero():
     c = build_minuscule(GL3, "vector")
     power = tensor_power(c, 3)

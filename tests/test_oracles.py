@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -62,6 +63,51 @@ def test_semistandard_tableau_refuses_entries_below_one_and_empty_rows():
             SemistandardTableau(rows)
     assert SemistandardTableau(()).rows == ()
     assert SemistandardTableau(((1, 1), (2,))).rows == ((1, 1), (2,))
+
+
+def tableau_fault(rows, strict):
+    """Reference: the first fault of a filling, read off its cells (i, j) in
+    the constructors' order, or None for a tableau."""
+    cells = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    if not all(rows) or any(cells[i, 0] < 1 for i in range(len(rows))):
+        return "rows must be nonempty, with entries >= 1"
+    if any(v >= cells[i, j + 1] if strict else v > cells[i, j + 1] for (i, j), v in cells.items() if (i, j + 1) in cells):
+        return "rows must increase" if strict else "rows must weakly increase"
+    for i in range(1, len(rows)):
+        if len(rows[i]) > len(rows[i - 1]):
+            return "shape must be a partition"
+        if any(cells[i - 1, j] >= cells[i, j] for j in range(len(rows[i]))):
+            return "columns must strictly increase"
+    if strict and sorted(cells.values()) != list(range(1, len(cells) + 1)):
+        return f"entries must be 1..{len(cells)} exactly once"
+    return None
+
+
+def compositions(n):
+    """Every sequence of positive row lengths with sum n."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def test_tableau_checks_match_the_cell_definition():
+    """Every filling, with entries 0..4, of every sequence of row lengths with
+    at most 4 boxes: each constructor accepts exactly the tableaux and
+    reports the first fault of the reference."""
+    for n in range(5):
+        for lengths in compositions(n):
+            for entries in product(range(5), repeat=n):
+                it = iter(entries)
+                rows = tuple(tuple(next(it) for _ in range(m)) for m in lengths)
+                for cls, strict in ((StandardTableau, True), (SemistandardTableau, False)):
+                    try:
+                        cls(rows)
+                        got = None
+                    except ValueError as exc:
+                        got = str(exc)
+                    assert got == tableau_fault(rows, strict), (cls.__name__, rows)
 
 
 def brute_strip(inner, outer, kind):

@@ -150,6 +150,19 @@ def test_exact_division_edge_cases():
         _dense_exact_div([1, 2], [])
 
 
+def test_monomial_denominator_fast_path_matches_the_gcd_path():
+    """num / q^k skips the gcd; the same fraction with a common factor p in
+    num and den, whose den is no monomial, goes through the gcd path."""
+    rng = random.Random(23)
+    for _ in range(300):
+        num, k, p = _rand_poly(rng), rng.randint(-6, 6), _rand_poly(rng)
+        if p.is_zero() or p._coeffs == (1,):
+            continue
+        fast = qalgebra._canonicalize(num, LaurentPoly.q(k))
+        assert fast == qalgebra._canonicalize(num * p, LaurentPoly.q(k) * p)
+        assert fast[1] == LaurentPoly.one()
+
+
 def test_canonicalization_idempotent():
     rng = random.Random(11)
     for _ in range(200):

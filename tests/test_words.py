@@ -17,6 +17,7 @@ from cactusgrowth.words import (
     infer_step_kind,
     parse_step_kind,
     step_is_valid,
+    step_table,
     syt_to_word,
     tau,
     word_from_corners,
@@ -87,17 +88,35 @@ def test_infer_step_kind():
 
 @pytest.mark.parametrize("ctx", BOUNDARY_CONTEXTS + [CartanContext("GL", 4), CartanContext("Sp", 3)], ids=str)
 def test_inference_is_the_step_check(ctx):
-    """The lemma the one-pass word check rests on: between dominant corners,
-    a kind of the family makes a valid step exactly when inference succeeds
-    with a kind of the same fundamental weight."""
+    """The lemma the word reader rests on: between dominant corners, a kind
+    of the family makes a valid step exactly when inference, and the step
+    table, give a kind of the same fundamental weight; from a dominant
+    corner, the table calls a step into any corner minuscule into a
+    dominant one exactly when some kind makes it a valid step."""
     corners = [c for c in product(BOX, repeat=ctx.rank) if is_dominant(Weight(ctx, c))]
     for a, b in product(corners, repeat=2):
         try:
             inferred = infer_step_kind(ctx, a, b).fundamental_weight(ctx)
         except InvalidStep:
             inferred = None
+        tabled, _ = step_table(ctx.family, a, b)
+        tabled = tabled and tabled.fundamental_weight(ctx)
         for kind in family_kinds(ctx):
-            assert step_is_valid(ctx, kind, a, b) == (inferred == kind.fundamental_weight(ctx)), (a, b, kind)
+            valid = step_is_valid(ctx, kind, a, b)
+            assert valid == (inferred == kind.fundamental_weight(ctx)) == (tabled == kind.fundamental_weight(ctx)), (
+                a, b, kind)
+    for a, b in product(corners, product(BOX, repeat=ctx.rank)):
+        valid = any(step_is_valid(ctx, kind, a, b) for kind in family_kinds(ctx))
+        assert step_table(ctx.family, a, b)[1] == valid, (a, b)
+
+
+def test_the_step_table_is_keyed_by_family():
+    """(1,) -> (0,) is an Sp(2) vector step and no GL(1) step: a table that
+    kept the Sp entry for the GL read would accept the GL word."""
+    corners = [[0], [1], [0]]
+    assert word_from_corners(CartanContext("Sp", 1), corners).steps == (VECTOR, VECTOR)
+    with pytest.raises(InvalidStep, match=r"^\[1\] -> \[0\] is not a GL exterior-power step$"):
+        word_from_corners(CartanContext("GL", 1), corners)
 
 
 def outcome(build):
